@@ -2,20 +2,29 @@
 
 Run from the root of a source checkout:
 
-    python3 verdictbench/run.py --workload classify-hidden --seed 1 --seconds 35 --trace 0
+    python3 verdictbench/run.py --workload classify-hidden --seed 1 --seconds 25 --trace 0
 
 Each operation is one in-process ``braidrep.cli.main(argv)`` call with stdout
 captured, the path users run.  Every report is parsed strictly, validated
 against src/braidrep/schema/report.schema.json, checked against the
 construction behind its input and hashed; checking happens outside the
 timed region.  Lines starting with "# " are for people; the last line is
-one JSON object with the keys correct, attempted, failed and metrics.
+one JSON object with the keys correct, attempted, failed and metrics;
+"correct" is false when any operation failed.
 
---trace 0 runs whole rounds of the workload until --seconds of operation
-time have passed and reports the end-to-end metrics.  --trace 1 runs the
-first round untraced, then again with spans and counters installed, and
-reports the per-layer metrics, the tracing overhead and whether the traced
-reports are byte-identical to the untraced ones.
+--trace 0 repeats the workload's round until --seconds of operation time
+have passed and reports the end-to-end metrics.  The host's speed drifts by
+up to 1.5x within seconds, so every timing metric is scaled to a fixed host
+speed: a reference kernel runs between operations and around each set-up
+probe, and a time is multiplied by REF_NOMINAL_S over the reference's time
+measured next to it.  The raw wall times are printed on the "# " lines.
+
+--trace 1 runs the round once untraced, then again with spans and counters
+installed, and reports the per-layer metrics, the tracing overhead and
+whether the traced reports are byte-identical to the untraced ones.  On
+classify-hidden it also replays the points where braidrep is known to give
+a wrong verdict and prints what they return; those operations are not
+scored.
 """
 
 import time
@@ -44,6 +53,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 from collections import Counter  # noqa: E402
+from fractions import Fraction  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 BENCH = Path(__file__).resolve().parent
@@ -54,6 +64,9 @@ STATE = ROOT / ".verdictbench"
 SETUP_PROBES = 3    # fresh processes timed for setup_s; the median is reported
 WALL_CAP_S = 110.0  # stop the timed phase early if the code gets very slow
 PROBE_TIMEOUT_S = 40.0
+# The nominal host speed: the one at which reference() takes this long.  It
+# is the kernel's median on the machine described in NOTES.md.
+REF_NOMINAL_S = 0.005
 
 
 def _fail(message: str) -> None:
@@ -146,6 +159,29 @@ def environment(fingerprint: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# host speed reference
+# ---------------------------------------------------------------------------
+
+def reference() -> float:
+    """Seconds a fixed pure-Python kernel of Fraction and dict work takes.
+
+    Interleaved with the operations it tracks the host's speed better than a
+    numpy kernel does, on the numpy-heavy classify ops too.
+    """
+    start = time.perf_counter()
+    acc, table = Fraction(0), {}
+    for k in range(1, 1000):
+        acc += Fraction(k, k + 1)
+        table[k % 37] = table.get(k % 37, 0) + k * k
+    return time.perf_counter() - start
+
+
+def scale(seconds: float, ref: float) -> float:
+    """seconds at the nominal host speed, given the reference time near them."""
+    return seconds * REF_NOMINAL_S / ref
+
+
+# ---------------------------------------------------------------------------
 # running and checking operations
 # ---------------------------------------------------------------------------
 
@@ -157,7 +193,8 @@ class Runner:
         self.validator = validator
         self.hashes = hashes  # op id -> sha256 of the first report seen
         self.call_main = call or cli.main
-        self.durations: list[float] = []
+        self.durations: list[float] = []  # wall seconds per operation
+        self.refs: list[float] = []  # reference times, before and after each op
         self.failures: Counter = Counter()
         self.wrong = 0
         self.report_bytes = 0
@@ -179,6 +216,9 @@ class Runner:
 
     def run(self, op: workloads.Op) -> float:
         code, text, seconds = self.call(op)
+        if not self.refs:
+            self.refs.append(reference())
+        self.refs.append(reference())
         self.durations.append(seconds)
         self.report_bytes += len(text.encode())
         if isinstance(code, str):
@@ -192,6 +232,13 @@ class Runner:
             self.failures[outcome.failure] += 1
             self.wrong += outcome.wrong
         return seconds
+
+    def scaled(self) -> list[float]:
+        """Operation times at the nominal host speed.  Each is scaled by the
+        median of the four reference times nearest to it, so one reading
+        taken in a brief burst does not skew it."""
+        return [scale(d, statistics.median(self.refs[max(0, i - 1):i + 3]))
+                for i, d in enumerate(self.durations)]
 
     @property
     def attempted(self) -> int:
@@ -220,12 +267,14 @@ def _save_hashes(path: Path, hashes: dict) -> None:
     os.replace(tmp, path)
 
 
-def _probe_setup(args) -> list[float]:
-    """Time SETUP_PROBES fresh processes from spawn until their warm-up op is done."""
+def _probe_setup(args) -> list[tuple]:
+    """Time SETUP_PROBES fresh processes from spawn until their warm-up op is
+    done: (wall seconds, seconds at the nominal host speed) for each."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
            "--setup-probe"]
     samples = []
+    before = reference()
     for _ in range(SETUP_PROBES):
         start = time.perf_counter()
         with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True) as proc:
@@ -237,7 +286,9 @@ def _probe_setup(args) -> list[float]:
             proc.wait()
         if line.strip() != "ready" or proc.returncode != 0:
             _fail("setup probe failed (exit %s)" % proc.returncode)
-        samples.append(ready)
+        after = reference()
+        samples.append((ready, scale(ready, (before + after) / 2.0)))
+        before = after
     return samples
 
 
@@ -250,13 +301,13 @@ def _late() -> bool:
     return time.perf_counter() - _T0 > WALL_CAP_S
 
 
-def timed_run(args, pool, runner) -> tuple:
-    # Whole rounds only, stopping at the round boundary nearest to --seconds,
-    # so every stratum keeps its share whatever the speed of the code.
+def timed_run(args, ops, runner) -> tuple:
+    # Whole rounds only, until at least --seconds of operation time, so every
+    # stratum keeps its share whatever the speed of the code.
     timed = 0.0
     rounds = 0
-    while (rounds == 0 or timed + timed / rounds / 2 < args.seconds) and not _late():
-        for op in pool[rounds % len(pool)]:
+    while timed < args.seconds and not _late():
+        for op in ops:
             timed += runner.run(op)
             if _late():
                 break
@@ -265,28 +316,32 @@ def timed_run(args, pool, runner) -> tuple:
     setup = _probe_setup(args)
     attempted, failed = runner.attempted, runner.failed
     good = attempted - failed
+    scaled = runner.scaled()
     metrics = {
-        "setup_s": (statistics.median(setup), "s"),
-        "verdicts_per_s": (good / timed, "1/s"),
-        "op_p50_s": (statistics.median(runner.durations), "s"),
+        "setup_s": (statistics.median(s for _, s in setup), "s"),
+        "verdicts_per_s": (good / sum(scaled), "1/s"),
+        "op_p50_s": (statistics.median(scaled), "s"),
         "pass_ratio": (good / attempted, "ratio"),
         "right_verdict_ratio": (1.0 - runner.wrong / attempted, "ratio"),
         "peak_rss_mb": (rss_mb, "MB"),
     }
     d = sorted(runner.durations)
     notes = [
-        "%d ops in %d rounds, %.3f s of operation time" % (attempted, rounds, timed),
-        "op_s p50 %.4f max %.4f over %d samples" % (statistics.median(d), d[-1], len(d)),
+        "%d ops in %d rounds, %.3f s of operation time (%.3f s at nominal speed)"
+        % (attempted, rounds, timed, sum(scaled)),
+        "wall clock: %.4f right reports/s, op_s p50 %.4f max %.4f over %d samples"
+        % (good / timed, statistics.median(d), d[-1], len(d)),
         "fail_ratio %.4f (%d/%d)  wrong_verdict_ratio %.4f (%d/%d)"
         % (failed / attempted, failed, attempted, runner.wrong / attempted,
            runner.wrong, attempted),
-        "setup_s samples %s" % json.dumps([round(s, 4) for s in setup]),
+        "setup_s samples, wall %s, at nominal speed %s"
+        % (json.dumps([round(w, 4) for w, _ in setup]),
+           json.dumps([round(s, 4) for _, s in setup])),
     ]
     return metrics, notes, runner
 
 
-def traced_run(args, pool, runner) -> tuple:
-    ops = pool[0]
+def traced_run(args, ops, runner) -> tuple:
     untraced = sum(runner.run(op) for op in ops)
     tracer = tracing.Tracer()
     traced_runner = Runner(runner.validator, runner.hashes,
@@ -301,16 +356,33 @@ def traced_run(args, pool, runner) -> tuple:
         tracer.restore()
     tracer.counts["cli.report_bytes"] = traced_runner.report_bytes
     tracer.write(STATE / "trace" / ("%s-seed%d.jsonl" % (args.workload, args.seed)))
+    # The overhead compares the two passes at the nominal host speed.
+    before, after = sum(runner.scaled()), sum(traced_runner.scaled())
     metrics = tracer.layer_metrics()
-    metrics["trace.overhead_s"] = (traced - untraced, "s")
-    metrics["trace.overhead_ratio"] = ((traced - untraced) / untraced, "ratio")
+    metrics["trace.overhead_s"] = (after - before, "s")
+    metrics["trace.overhead_ratio"] = ((after - before) / before, "ratio")
     notes = [
-        "%d ops traced: %.3f s untraced, %.3f s traced, overhead %.1f%%"
+        "%d ops traced: %.3f s untraced, %.3f s traced, wall clock overhead %.1f%%"
         % (len(ops), untraced, traced, 100.0 * (traced - untraced) / untraced),
+        "at nominal speed: %.3f s untraced, %.3f s traced, overhead %.1f%%"
+        % (before, after, 100.0 * (after - before) / before),
         "untraced failures %s" % json.dumps(dict(sorted(runner.failures.items()))),
         "%d spans written under %s" % (len(tracer.spans), STATE.relative_to(ROOT) / "trace"),
     ]
+    if args.workload == "classify-hidden":
+        notes += _defect_notes(args, runner)
     return metrics, notes, traced_runner
+
+
+def _defect_notes(args, runner) -> list[str]:
+    """Replay the known wrong-verdict points; report them, score nothing."""
+    lines = []
+    for op in workloads.defect_ops(args.seed, STATE / ("work-%d" % os.getpid())):
+        code, text, seconds = runner.call(op)
+        outcome = workloads.check(op, code, text, runner.validator)
+        lines.append("known defect %s: %s in %.3f s (not scored)"
+                     % (op.id, outcome.failure or "right verdict", seconds))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +404,17 @@ def main() -> int:
     workdir = STATE / ("work-%d" % os.getpid())
     workdir.mkdir(parents=True, exist_ok=True)
     try:
-        pool = workloads.WORKLOADS[args.workload](args.seed, workdir)
+        ops = workloads.WORKLOADS[args.workload](args.seed, workdir)
         fingerprint = _fingerprint()
         store = _hash_store(args.workload, args.seed, fingerprint)
         runner = Runner(validator, _load_hashes(store))
-        runner.warm(pool[0][0])
+        runner.warm(ops[0])
         if args.setup_probe:
             print("ready", flush=True)
             return 0
         setup_here = time.perf_counter() - _T0
         env = environment(fingerprint)
-        metrics, notes, judged = (traced_run if args.trace else timed_run)(args, pool, runner)
+        metrics, notes, judged = (traced_run if args.trace else timed_run)(args, ops, runner)
         _save_hashes(store, runner.hashes)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
