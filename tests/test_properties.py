@@ -124,6 +124,18 @@ def test_schur_dimension_law_on_irreducible_instances():
             "self-intertwiner dimension %d at n=%d" % (len(basis), n)
 
 
+def test_span_closure_agrees_with_its_complexification():
+    # the exact and the numeric basis run the same closure, so at a rational
+    # point both must reach the same dimension in the same generation count
+    for n in range(3, 7):
+        for u in (Fraction(23, 7), Fraction(-5, 3), Fraction(1)):
+            rho = specialize(standard_rep(n), u)
+            exact = burnside_dimension(rho)
+            numeric = burnside_dimension(rho.to_complex())
+            assert (exact.dimension, exact.generations) == \
+                (numeric.dimension, numeric.generations), "n=%d, u=%s" % (n, u)
+
+
 def test_classify_scale_invariance():
     rng = random.Random(0xF7)
     rho = character_twist(specialize(standard_rep(9), 2.3 - 0.4j), 1.2 + 0.3j)
