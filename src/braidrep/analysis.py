@@ -20,6 +20,13 @@ The functions here answer questions about a single representation:
   subgroup_invariance_check  whether chosen generators map a subspace into itself
   invariant_subspace_search  randomized search for a proper invariant subspace
 
+burnside_dimension and invariant_subspace_search run on one spin kernel,
+_spin: it closes the span of some seed elements under left multiplication by
+a list of operators, one generation at a time, into an exact echelon basis or
+a numeric orthonormal one.  The span test spins {I, generators, inverses} in
+the degree^2-dimensional matrix space; the subspace search spins one kernel
+vector under the generators.
+
 Exact domains are kept exact wherever eigenvalues are rational; everything
 else runs on the complexification with max-norm residual reporting.  Laurent
 inputs are probed through a fixed set of three rational specializations and
@@ -32,7 +39,6 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 import numpy as np
 
@@ -51,6 +57,7 @@ from .matrix import (
     Domain,
     Mat,
     _canonical_exact_vector,
+    _content,
     column_space,
     eigen_numeric,
     minpoly,
@@ -174,10 +181,6 @@ def _vstack(mats: list[Mat]) -> Mat:
     return Mat(sum(m.rows for m in mats), cols, dom, ents)
 
 
-def _hstack(cols: list[Mat]) -> Mat:
-    return Mat.from_columns(cols)
-
-
 # ---------------------------------------------------------------------------
 # corank
 # ---------------------------------------------------------------------------
@@ -279,7 +282,7 @@ class BurnsideReport:
 
 
 class _EchelonBasis:
-    """Growing echelon basis over an exact domain.  insert() reports new dims."""
+    """Growing echelon basis of exact Mats, flattened.  insert() reports new dims."""
 
     def __init__(self, domain: Domain):
         self.o = ops_for(domain)
@@ -290,9 +293,9 @@ class _EchelonBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def insert(self, vec) -> bool:
+    def insert(self, m: Mat) -> bool:
         o = self.o
-        vec = list(vec)
+        vec = list(m.entries)
         for pidx, row in self.rows:
             e = vec[pidx]
             if not o.is_zero(e):
@@ -310,88 +313,84 @@ class _EchelonBasis:
 
 
 class _OrthoBasis:
-    """Growing orthonormal basis over the complex numbers."""
+    """Growing orthonormal basis of complex arrays, flattened, held as the
+    leading columns of one array sized to the ambient dimension."""
 
     def __init__(self, tol: float):
         self.tol = max(tol, 1e-12)
-        self.vecs: list[np.ndarray] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.vecs)
+        self.q: np.ndarray | None = None
+        self.dim = 0
 
     def insert(self, v: np.ndarray) -> bool:
-        v = np.asarray(v, dtype=complex).ravel()
-        n0 = np.linalg.norm(v)
+        w = np.array(v, dtype=complex).ravel()
+        n0 = np.linalg.norm(w)
         if n0 == 0.0:
             return False
-        w = v / n0
-        for _ in range(2):  # re-orthogonalize once for stability
-            for b in self.vecs:
-                w = w - (b.conj() @ w) * b
+        if self.q is None:
+            self.q = np.empty((w.size, w.size), dtype=complex)
+        w /= n0
+        q = self.q[:, :self.dim]
+        for _ in range(2):  # w -= Q (Q^H w), re-orthogonalized once for stability
+            w -= q @ (w.conj() @ q).conj()
         n1 = np.linalg.norm(w)
         if n1 <= self.tol:
             return False
-        self.vecs.append(w / n1)
+        self.q[:, self.dim] = w / n1
+        self.dim += 1
         return True
 
     def vectors(self) -> list[np.ndarray]:
-        return list(self.vecs)
+        return [] if self.q is None else list(self.q[:, :self.dim].T)
 
 
-def _rational_content_scale(entries) -> Fraction:
-    num = 0
-    den = 1
-    for e in entries:
-        f = Fraction(e)
-        num = gcd(num, f.numerator)
-        den = lcm(den, f.denominator)
-    return Fraction(num, den) if num else Fraction(1)
+def _scaled(x):
+    # scaling an element does not change the span; keep entries small
+    if isinstance(x, Mat):
+        c = _content(x.entries, x.domain)
+        return x.scale(1 / c) if c not in (0, 1) else x
+    s = float(np.max(np.abs(x)))
+    return x * (1.0 / s) if s > 0 else x
 
 
-def _normalize_queue_matrix(m: Mat) -> Mat:
-    # scaling a spanning element does not change the span; keep entries small
-    if m.domain is Domain.RATIONAL:
-        c = _rational_content_scale(m.entries)
-        if c not in (0, 1):
-            return m.scale(1 / c)
-        return m
-    if m.domain is Domain.COMPLEX:
-        s = m.max_norm()
-        return m.scale(1.0 / s) if s > 0 else m
-    return m  # laurent matrices never reach the queue
+def _spin(seeds: list, ops: list, basis, limit: int,
+          max_generations: int | None = None) -> int:
+    """Grow basis to the span of seeds closed under left multiplication by ops.
 
-
-def _span_closure(gens: list[Mat], degree: int, domain: Domain, tol: float,
-                  max_generations: int) -> tuple[int, int]:
-    mults = list(gens) + [g.inverse(tol) for g in gens]
-    if domain is Domain.COMPLEX:
-        basis: object = _OrthoBasis(tol)
-        vec_of = lambda m: np.array(m.as_numpy(), dtype=complex).ravel()
-    else:
-        basis = _EchelonBasis(domain)
-        vec_of = lambda m: m.entries
-    limit = degree * degree
-    frontier: list[Mat] = []
-    for seed in [Mat.identity(degree, domain)] + mults:
-        seed = _normalize_queue_matrix(seed)
-        if basis.insert(vec_of(seed)):
-            frontier.append(seed)
+    Elements are exact Mats for an _EchelonBasis and complex ndarrays for an
+    _OrthoBasis, each scaled before it is inserted.  Runs one generation at a
+    time: the next frontier is the products of the current one that enlarged
+    the basis.  Stops when the frontier is empty or basis.dim reaches limit,
+    checked after each frontier element.  Returns the number of generations;
+    ClosureDiverged when more than max_generations would run.
+    """
+    frontier = [x for x in map(_scaled, seeds) if basis.insert(x)]
     generations = 0
     while frontier and basis.dim < limit:
         generations += 1
-        if generations > max_generations:
+        if max_generations is not None and generations > max_generations:
             raise ClosureDiverged(
                 "span closure still growing after %d generations" % max_generations)
         nxt = []
-        for m in frontier:
-            for g in mults:
-                prod = _normalize_queue_matrix(g @ m)
-                if basis.insert(vec_of(prod)):
-                    nxt.append(prod)
+        for w in frontier:
+            for g in ops:
+                x = _scaled(g @ w)
+                if basis.insert(x):
+                    nxt.append(x)
             if basis.dim >= limit:
                 break
         frontier = nxt
+    return generations
+
+
+def _image_span(gens: list[Mat], degree: int, domain: Domain, tol: float,
+                max_generations: int) -> tuple[int, int]:
+    seeds = [Mat.identity(degree, domain)] + gens + [g.inverse(tol) for g in gens]
+    if domain is Domain.COMPLEX:
+        seeds = [m.as_numpy() for m in seeds]
+        basis: object = _OrthoBasis(tol)
+    else:
+        basis = _EchelonBasis(domain)
+    generations = _spin(seeds, seeds[1:], basis, degree * degree, max_generations)
     return basis.dim, generations
 
 
@@ -409,8 +408,8 @@ def burnside_dimension(rho: Rep, tol: float = DEFAULT_TOL,
         dims = []
         gens_max = 0
         for u in pts:
-            d, g = _span_closure([m.eval_at(u) for m in rho.gens], rho.degree,
-                                 Domain.RATIONAL, tol, max_generations)
+            d, g = _image_span([m.eval_at(u) for m in rho.gens], rho.degree,
+                               Domain.RATIONAL, tol, max_generations)
             dims.append(d)
             gens_max = max(gens_max, g)
         if len(set(dims)) != 1:
@@ -420,8 +419,8 @@ def burnside_dimension(rho: Rep, tol: float = DEFAULT_TOL,
         notes = "generic value; specializations at t=%s agree" % (
             ", ".join(str(u) for u in pts))
         return BurnsideReport(rho.degree, rho.domain, dims[0], gens_max, notes)
-    dim, generations = _span_closure(list(rho.gens), rho.degree, rho.domain,
-                                     tol, max_generations)
+    dim, generations = _image_span(list(rho.gens), rho.degree, rho.domain,
+                                   tol, max_generations)
     return BurnsideReport(rho.degree, rho.domain, dim, generations)
 
 
@@ -824,7 +823,7 @@ def theta_cycle_audit(rho: Rep, v: Mat, x, y,
 
     independence = 0
     for k in range(1, m + 1):
-        stacked = _hstack(translates[:k])
+        stacked = Mat.from_columns(translates[:k])
         r = rank_exact(stacked) if exact else rank_numeric(stacked, tol)
         if r < k:
             break
@@ -942,7 +941,7 @@ def subgroup_invariance_check(rho: Rep, indices, basis,
     the projection defect relative to the mapped columns.
     """
     if isinstance(basis, (list, tuple)):
-        basis = _hstack(list(basis))
+        basis = Mat.from_columns(list(basis))
     if basis.domain is not rho.domain:
         raise ValueError("basis domain does not match the representation")
     entries = []
@@ -1002,34 +1001,6 @@ def _random_image_combination(rho: Rep, rng: random.Random) -> Mat:
     return acc
 
 
-def _spin_exact(start: Mat, gens: list[Mat], domain: Domain) -> _EchelonBasis:
-    basis = _EchelonBasis(domain)
-    queue = []
-    if basis.insert(start.entries):
-        queue.append(start)
-    while queue:
-        w = queue.pop()
-        for g in gens:
-            u = g @ w
-            if basis.insert(u.entries):
-                queue.append(u)
-    return basis
-
-
-def _spin_numeric(start: np.ndarray, gens: list[np.ndarray], tol: float) -> _OrthoBasis:
-    basis = _OrthoBasis(tol)
-    queue = []
-    if basis.insert(start):
-        queue.append(start)
-    while queue:
-        w = queue.pop()
-        for g in gens:
-            u = g @ w
-            if basis.insert(u):
-                queue.append(u)
-    return basis
-
-
 def invariant_subspace_search(rho: Rep, tries: int = 30, seed: int = 0,
                               tol: float = DEFAULT_TOL,
                               cluster_tol: float = DEFAULT_CLUSTER_TOL) -> InvariantSubspaceReport:
@@ -1045,35 +1016,27 @@ def invariant_subspace_search(rho: Rep, tries: int = 30, seed: int = 0,
     if rho.domain is Domain.LAURENT:
         raise ValueError("invariant subspace search runs over a scalar field; specialize first")
     n = rho.degree
-    ident_r = Mat.identity(n, rho.domain)
+    exact_domain = rho.domain is Domain.RATIONAL
+    ops = list(rho.gens) if exact_domain else [g.as_numpy() for g in rho.gens]
+    ident = Mat.identity(n, rho.domain)
     for trial in range(tries):
         rng = random.Random(seed * 1_000_003 + trial)
         a = _random_image_combination(rho, rng)
         for c, _, exact in _eig_candidates(a, cluster_tol):
-            if rho.domain is Domain.RATIONAL:
-                if not exact:
+            if exact_domain and not exact:
+                continue
+            for vec in nullspace(a - ident.scale(c), tol):
+                basis = _EchelonBasis(rho.domain) if exact_domain else _OrthoBasis(tol)
+                _spin([vec if exact_domain else vec.as_numpy()], ops, basis, n)
+                if not 0 < basis.dim < n:
                     continue
-                for vec in nullspace(a - ident_r.scale(c)):
-                    spun = _spin_exact(vec, list(rho.gens), rho.domain)
-                    if 0 < spun.dim < n:
-                        cols = [Mat.column_vector(row, rho.domain)
-                                for row in spun.vectors()]
-                        return InvariantSubspaceReport(
-                            True, spun.dim, _hstack(cols), trial + 1,
-                            "spun from the kernel of a random image combination"
+                if exact_domain:
+                    span = Mat.from_rows(basis.vectors(), rho.domain).transpose()
+                    note = ("spun from the kernel of a random image combination"
                             " shifted by %s" % c)
-            else:
-                arr = np.array(a.as_numpy(), dtype=complex)
-                gens_np = [np.array(g.as_numpy(), dtype=complex) for g in rho.gens]
-                shifted = Mat.from_numpy(arr - complex(c) * np.eye(n))
-                for vec in nullspace(shifted, tol):
-                    start = np.array(vec.as_numpy(), dtype=complex).ravel()
-                    spun = _spin_numeric(start, gens_np, tol)
-                    if 0 < spun.dim < n:
-                        cols = [Mat.column_vector([complex(x) for x in b], Domain.COMPLEX)
-                                for b in spun.vectors()]
-                        return InvariantSubspaceReport(
-                            True, spun.dim, _hstack(cols), trial + 1,
-                            "numeric spin from a singular shift %s" % c)
+                else:
+                    span = Mat.from_numpy(np.array(basis.vectors()).T)
+                    note = "numeric spin from a singular shift %s" % c
+                return InvariantSubspaceReport(True, basis.dim, span, trial + 1, note)
     return InvariantSubspaceReport(False, 0, None, tries,
                                    "no proper invariant subspace surfaced")

@@ -266,16 +266,9 @@ class LaurentPoly:
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer
         coefficients; 0 for the zero polynomial."""
-        if not self._c:
-            return Fraction(0)
-        from math import gcd
+        from .matrix import Domain, _content  # matrix imports this module
 
-        num = 0
-        den = 1
-        for v in self._c.values():
-            num = gcd(num, abs(v.numerator))
-            den = den * v.denominator // gcd(den, v.denominator)
-        return Fraction(num, den)
+        return _content(self._c.values(), Domain.RATIONAL)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -15,11 +15,11 @@ clustered with an explicit ambiguity check rather than silently merged.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -259,9 +259,6 @@ class Mat:
     def col(self, j: int) -> list:
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
-    def col_mat(self, j: int) -> "Mat":
-        return Mat.column_vector(self.col(j), self.domain)
-
     def row_lists(self) -> list[list]:
         return [self.row(i) for i in range(self.rows)]
 
@@ -400,9 +397,6 @@ class Mat:
             raise ValueError("eval_at applies to Laurent matrices")
         target = Domain.RATIONAL if isinstance(u, (int, Fraction)) else Domain.COMPLEX
         return Mat(self.rows, self.cols, target, [x.eval(u) for x in self.entries])
-
-    def map_entries(self, fn: Callable, domain: Domain | None = None) -> "Mat":
-        return Mat(self.rows, self.cols, domain or self.domain, [fn(x) for x in self.entries])
 
     # -- linear algebra (delegates) -----------------------------------------
 
@@ -574,6 +568,26 @@ def _exact_inverse(m: Mat) -> Mat:
     return Mat(n, n, m.domain, out)
 
 
+def _content(entries, domain: Domain):
+    """Positive rational content of exact entries, zeros skipped.
+
+    RATIONAL: the c > 0 that leaves the entries coprime integers once
+    divided out, 0 when every entry is zero.  LAURENT: the unit c*t^k with
+    c the content of all coefficients and k the smallest degree present."""
+    if domain is Domain.LAURENT:
+        nz = [x for x in entries if not x.is_zero]
+        if not nz:
+            return LaurentPoly.zero()
+        c = _content([v for x in nz for _, v in x.items()], Domain.RATIONAL)
+        return LaurentPoly.term(c, min(x.deg_min for x in nz))
+    num, den = 0, 1
+    for x in entries:
+        if x:
+            num = gcd(num, x.numerator)
+            den = lcm(den, x.denominator)
+    return Fraction(num, den)
+
+
 def _canonical_exact_vector(vec: list, domain: Domain) -> list:
     """Deterministic scaling of an exact kernel/eigenvector.
 
@@ -588,15 +602,7 @@ def _canonical_exact_vector(vec: list, domain: Domain) -> list:
         return [x / lead for x in vec]
     if domain is Domain.COMPLEX:
         return [x / lead for x in vec]
-    nz = [x for x in vec if not x.is_zero]
-    from math import gcd
-
-    num, den, shift = 0, 1, min(x.deg_min for x in nz)
-    for x in nz:
-        c = x.content()
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    unit = LaurentPoly.term(Fraction(num, den), shift)
+    unit = _content(vec, domain)
     vec = [x.divide_exact(unit) if not x.is_zero else x for x in vec]
     lead = next(x for x in vec if not x.is_zero)
     if lead.is_unit:
@@ -933,33 +939,13 @@ def minpoly(m: Mat, tol: float = DEFAULT_TOL,
 def _normalize_tracked(row: list, combo: list, domain: Domain) -> tuple[list, list]:
     """Divide a tracked elimination row by the common content to keep
     fraction-free growth in check; the final ratios are unaffected."""
-    o = _OPS[domain]
-    if domain is Domain.RATIONAL:
-        vals = [x for x in row + combo if x]
-        if not vals:
-            return row, combo
-        from math import gcd
-
-        num, den = 0, 1
-        for v in vals:
-            num = gcd(num, abs(v.numerator))
-            den = den * v.denominator // gcd(den, v.denominator)
-        c = Fraction(num, den)
-        return [x / c for x in row], [x / c for x in combo]
-    nz = [x for x in row + combo if not x.is_zero]
-    if not nz:
+    c = _content(row + combo, domain)
+    if not c:
         return row, combo
-    from math import gcd
-
-    num, den = 0, 1
-    shift = min(x.deg_min for x in nz)
-    for x in nz:
-        c = x.content()
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    unit = LaurentPoly.term(Fraction(num, den), shift)
-    return ([x.divide_exact(unit) if not x.is_zero else x for x in row],
-            [x.divide_exact(unit) if not x.is_zero else x for x in combo])
+    if domain is Domain.RATIONAL:
+        return [x / c for x in row], [x / c for x in combo]
+    return ([x.divide_exact(c) if not x.is_zero else x for x in row],
+            [x.divide_exact(c) if not x.is_zero else x for x in combo])
 
 
 # -- polynomial helpers over a scalar domain ---------------------------------
