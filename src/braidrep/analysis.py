@@ -172,15 +172,6 @@ def _eig_candidates(g: Mat, cluster_tol: float) -> list[tuple[object, int, bool]
     return out
 
 
-def _vstack(mats: list[Mat]) -> Mat:
-    cols = mats[0].cols
-    dom = mats[0].domain
-    ents = []
-    for m in mats:
-        ents.extend(m.entries)
-    return Mat(sum(m.rows for m in mats), cols, dom, ents)
-
-
 # ---------------------------------------------------------------------------
 # corank
 # ---------------------------------------------------------------------------
@@ -594,7 +585,8 @@ def subgroup_line_witness(rho: Rep, tol: float = DEFAULT_TOL,
             ident = Mat.identity(rho.degree, work.domain)
             blocks = [work.gen(i) - ident.scale(yv) for i in range(1, m - 2)]
             blocks.append(work.gen(m - 1) - ident.scale(xv))
-            kern = nullspace(_vstack(blocks), tol)
+            stacked = Mat.from_rows([r for b in blocks for r in b.row_lists()], work.domain)
+            kern = nullspace(stacked, tol)
             if not kern:
                 continue
             v = kern[0]
