@@ -31,6 +31,7 @@ converted.  All residuals are relative max-norm.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -151,12 +152,25 @@ class EquivalenceCert:
         }
 
 
-def _spectrum_list(g: Mat, cluster_tol: float) -> list[complex]:
-    out: list[complex] = []
-    for c, m in eigen_numeric(g, cluster_tol):
-        out.extend([complex(c)] * m)
-    out.sort(key=lambda z: (z.real, z.imag))
-    return out
+def _spectrum_gap(ca: list, cb: list) -> float:
+    """Largest distance between matched eigenvalue clusters of two matrices.
+
+    Each cluster of ca takes the nearest unmatched cluster of cb with the
+    same multiplicity, so eigenvalues that share a real part cannot swap
+    partners; inf when the multiplicities do not pair up."""
+    rest = list(cb)
+    worst = 0.0
+    for c, m in ca:
+        same = [k for k, (_, mb) in enumerate(rest) if mb == m]
+        if not same:
+            return math.inf
+        k = min(same, key=lambda k: abs(rest[k][0] - c))
+        worst = max(worst, abs(rest.pop(k)[0] - c))
+    return math.inf if rest else worst
+
+
+def _format_spectrum(clusters: list) -> list[str]:
+    return ["%.6g%+.6gj" % (c.real, c.imag) for c, m in clusters for _ in range(m)]
 
 
 def certify_equivalence(rho_a: Rep, rho_b: Rep, tol: float = DEFAULT_TOL,
@@ -182,16 +196,14 @@ def certify_equivalence(rho_a: Rep, rho_b: Rep, tol: float = DEFAULT_TOL,
                 max(g.max_norm() for g in b.gens), 1.0)
     match_tol = cluster_tol * scale
     for i in range(1, a.strands):
-        sa = _spectrum_list(a.gen(i), cluster_tol)
-        sb = _spectrum_list(b.gen(i), cluster_tol)
-        worst = max(abs(x - y) for x, y in zip(sa, sb))
+        ca = eigen_numeric(a.gen(i), cluster_tol)
+        cb = eigen_numeric(b.gen(i), cluster_tol)
+        worst = _spectrum_gap(ca, cb)
         if worst > match_tol:
             return EquivalenceCert(
                 "NOT_EQUIVALENT",
                 "generator s%d: spectra differ by %.3g (%s vs %s)"
-                % (i, worst,
-                   ["%.6g%+.6gj" % (z.real, z.imag) for z in sa],
-                   ["%.6g%+.6gj" % (z.real, z.imag) for z in sb]),
+                % (i, worst, _format_spectrum(ca), _format_spectrum(cb)),
                 None, None, None, None)
     basis = intertwiner_space(list(a.gens), list(b.gens), tol)
     if not basis:

@@ -10,7 +10,9 @@ so identical invocations produce byte-identical reports.
 
 Exit codes: 0 on success, 1 when the mathematics fails (a named error such
 as NotIrreducible or DegenerateU is reported in the envelope), 2 on bad
-usage or malformed input.
+usage or malformed input.  A command line that does not parse reports the
+error name UsageError, with command null when no subcommand was read.
+Reports are strict JSON: a non-finite number is written as null.
 
 The base tolerance can be set through the BRAIDREP_TOL environment variable;
 an explicit --tol flag wins over the environment.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -48,6 +51,9 @@ from .reps import (
 )
 
 _SCHEMA_TAG = "braidrep/1"
+
+# flags whose value may start with "-", as in --u -5/3
+_SCALAR_FLAGS = ("--u", "--y", "--eigenvalue")
 
 _FAMILIES = {
     "standard": standard_rep,
@@ -203,6 +209,29 @@ def _cmd_spectrum(args, tol, cluster_tol):
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """The command line does not parse; args are (message, command or None)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would print usage and exit; the envelope reports it instead.
+        # A subcommand parser's prog is "braidrep <command>".
+        raise _UsageError(message, self.prog.partition(" ")[2] or None)
+
+
+def _attach_scalar_values(argv: list[str]) -> list[str]:
+    """Write "--u -5/3" as "--u=-5/3": argparse takes a separate value that
+    starts with "-" for an option unless it is a plain negative number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SCALAR_FLAGS and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _common_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--tol", type=float, default=None,
@@ -235,7 +264,7 @@ def _rep_flags() -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
     reps = _rep_flags()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidrep",
         description="Braid group representations: build, check and classify."
                     "  Every command prints one JSON report.")
@@ -334,8 +363,18 @@ def _validate_flags(args, tol: float) -> None:
         raise ValueError("--max-generations cannot be negative")
 
 
+def _strict(x):
+    """x with each non-finite float replaced by None: RFC 8259 has no
+    Infinity or NaN."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _emit(env: dict, out_path: str | None) -> None:
-    text = json.dumps(env, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_strict(env), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -345,18 +384,25 @@ def _emit(env: dict, out_path: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-
-    env = {"schema": _SCHEMA_TAG, "command": args.command,
+    env = {"schema": _SCHEMA_TAG, "command": None,
            "ok": True, "error": None, "tol": DEFAULT_TOL}
+    out_path = None
     try:
+        args, extra = parser.parse_known_args(
+            _attach_scalar_values(sys.argv[1:] if argv is None else argv))
+        if extra:
+            raise _UsageError("unrecognized arguments: " + " ".join(extra), args.command)
+        env["command"], out_path = args.command, args.out
         tol = _resolve_tol(args)
         env["tol"] = tol
         _validate_flags(args, tol)
         payload = args.handler(args, tol, args.cluster_tol)
+    except SystemExit as exc:  # --help printed its text
+        return 0 if exc.code in (0, None) else 2
+    except _UsageError as exc:
+        message, env["command"] = exc.args
+        env.update(ok=False, error={"name": "UsageError", "message": message})
+        code = 2
     except SchemaError as exc:
         env.update(ok=False, error={"name": exc.name, "message": str(exc)})
         code = 2
@@ -370,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         env.update(payload)
         code = 0
-    _emit(env, args.out)
+    _emit(env, out_path)
     return code
 
 

@@ -154,6 +154,40 @@ def test_classify_recovers_hidden_family():
     json.dumps(report.to_json_dict())
 
 
+def _classified_as(report, y, u):
+    assert report.certificate.verdict == "EQUIVALENT"
+    assert not report.contradiction
+    assert abs(report.y - y) < 1e-8 * max(1.0, abs(y))
+    assert abs(report.u - u) < 1e-8 * max(1.0, abs(u))
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_classify_hidden_real_negative_u_real_y(trial):
+    # the simple eigenvalues +-y sqrt(u) share their real part here; spectra
+    # matched by sorting on (real, imag) swapped them into a false
+    # NOT_EQUIVALENT with THEOREM-CONTRADICTION
+    rng = np.random.default_rng(trial)
+    u = complex(-rng.uniform(0.3, 3.0))
+    y = complex(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    _classified_as(classify(hidden_model(9, y, u, seed=100 + trial)), y, u)
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_classify_hidden_real_positive_u_real_y(trial):
+    rng = np.random.default_rng(20 + trial)
+    u = complex(rng.uniform(1.3, 4.0))
+    y = complex(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    _classified_as(classify(hidden_model(9, y, u, seed=200 + trial)), y, u)
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_classify_hidden_unit_circle_y(trial):
+    rng = np.random.default_rng(30 + trial)
+    u = complex(rng.uniform(-2.5, 4.0), rng.uniform(0.3, 1.5))
+    y = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    _classified_as(classify(hidden_model(9, y, u, seed=300 + trial)), y, u)
+
+
 def test_classify_exact_input():
     report = classify(character_twist(specialize(standard_rep(9), 3), 2))
     assert report.classified

@@ -16,10 +16,14 @@ def schema():
     return json.loads(ref.read_text())
 
 
+def _reject_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out), out
+    return code, json.loads(out, parse_constant=_reject_constant), out
 
 
 def check(schema, doc):
@@ -300,6 +304,65 @@ def test_numeric_flag_validation(capsys, schema):
 
 
 # -- exit codes and determinism ---------------------------------------------
+
+
+def test_classify_real_negative_u_real_y(capsys, schema):
+    for argv in (["--u=-2+0j", "--y=1+0j"], ["--u", "-2+0j", "--y", "1+0j"]):
+        code, doc, _ = run_cli(capsys, "classify", "--family", "standard",
+                               "--n", "9", *argv)
+        assert code == 0
+        check(schema, doc)
+        cls = doc["classification"]
+        assert cls["certificate"]["verdict"] == "EQUIVALENT"
+        assert cls["contradiction"] is False
+
+
+def test_negative_scalar_values(capsys, schema):
+    code, doc, out = run_cli(capsys, "irreducible", "--family", "standard",
+                             "--n", "6", "--u", "-5/3")
+    assert code == 0
+    check(schema, doc)
+    assert doc["irreducible"] is True
+    assert run_cli(capsys, "irreducible", "--family", "standard", "--n", "6",
+                   "--u=-5/3")[2] == out
+    code, doc, _ = run_cli(capsys, "irreducible", "--family", "standard",
+                           "--n", "6", "--u", "-2+0j")
+    assert code == 0
+    assert doc["burnside"]["domain"] == "complex"
+    code, doc, _ = run_cli(capsys, "jordan", "--family", "standard", "--n", "9",
+                           "--u", "3", "--y", "-2", "--word", "s8",
+                           "--eigenvalue", "-2")
+    assert code == 0
+    check(schema, doc)
+    assert doc["jordan"]["eigenvalue"] == "-2" and doc["jordan"]["dim"] == 7
+
+
+@pytest.mark.parametrize("argv,command", [
+    (["no-such-command"], None),
+    ([], None),
+    (["irreducible", "--family", "standard", "--n", "6", "--u"], "irreducible"),
+    (["corank", "--family", "nope", "--n", "4"], "corank"),
+    (["gen", "--family", "standard", "--n", "3", "--bogus"], "gen"),
+])
+def test_usage_error_envelope(capsys, schema, argv, command):
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 2
+    check(schema, doc)
+    assert doc["command"] == command
+    assert doc["ok"] is False and doc["error"]["name"] == "UsageError"
+
+
+def test_non_finite_numbers_are_null(capsys, schema):
+    # a coarse cluster tolerance merges the spectrum, so every row errors
+    # with an infinite parameter error
+    code, doc, _ = run_cli(capsys, "audit", "--n", "5", "--trials", "3",
+                           "--cluster-tol", "0.5")
+    assert code == 0
+    check(schema, doc)
+    audit = doc["audit"]
+    assert audit["max_param_err"] is None
+    assert all(r["error"] and r["y_err"] is None and r["u_err"] is None
+               for r in audit["rows"])
 
 
 def test_usage_error_exits_2(capsys):
