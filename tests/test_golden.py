@@ -4,8 +4,9 @@ Each case runs one CLI command in process and compares its exit code and
 stdout with the report recorded in tests/golden/<name>.json.  The two
 hidden-basis inputs are twisted families conjugated by a random basis drawn
 from a fixed numpy seed (hidden_n9.rep.json, hidden_n12.rep.json).  The
-command set leaves out the points where classify is known to give a wrong
-verdict, so the goldens pin correct reports only.
+command set leaves out real u < 0 with real y and |u| near 3e-3, where
+classify gave wrong verdicts when the goldens were recorded, so every golden
+is a right report.
 
 A deliberate report change is recorded again with
 
