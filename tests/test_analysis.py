@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from braidrep import analysis
@@ -163,6 +164,39 @@ def test_burnside_direct_sum_not_full():
 def test_burnside_generation_cap():
     with pytest.raises(ClosureDiverged):
         burnside_dimension(specialize(standard_rep(3), 2), max_generations=0)
+
+
+def _loop_gram_schmidt(vectors, tol):
+    # reference: one vector at a time, re-orthogonalized once
+    basis, kept = [], []
+    for v in vectors:
+        w = v / np.linalg.norm(v)
+        for _ in range(2):
+            for b in basis:
+                w = w - (b.conj() @ w) * b
+        n1 = np.linalg.norm(w)
+        kept.append(n1 > max(tol, 1e-12))
+        if kept[-1]:
+            basis.append(w / n1)
+    return kept, basis
+
+
+def test_ortho_basis_matches_loop_gram_schmidt():
+    rng = np.random.default_rng(0x0B)
+    dim = 16
+    vectors = []
+    for k in range(40):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        if k % 3 == 2:  # a combination of earlier vectors, so dependent
+            v = sum(c * u for c, u in zip(rng.standard_normal(k), vectors))
+        vectors.append(v)
+    basis = analysis._OrthoBasis(1e-9)
+    kept = [basis.insert(v) for v in vectors]
+    ref_kept, ref = _loop_gram_schmidt(vectors, 1e-9)
+    assert kept == ref_kept and basis.dim == len(ref) == dim
+    q, r = np.array(basis.vectors()).T, np.array(ref).T
+    assert np.allclose(q.conj().T @ q, np.eye(dim), atol=1e-12)
+    assert np.allclose(q @ q.conj().T, r @ r.conj().T, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
