@@ -58,6 +58,7 @@ from .matrix import (
     Mat,
     _canonical_exact_vector,
     _content,
+    _np_nullspace,
     column_space,
     eigen_numeric,
     minpoly,
@@ -155,8 +156,7 @@ def _eig_candidates(g: Mat, cluster_tol: float) -> list[tuple[object, int, bool]
     Rational matrices get their rational eigenvalues verified exactly, the
     rest stay floating.  Ordered by _axis_key.
     """
-    gc = g if g.domain is Domain.COMPLEX else g.to_complex()
-    clusters = eigen_numeric(gc, cluster_tol)
+    clusters = eigen_numeric(g, cluster_tol)
     ident = Mat.identity(g.rows, g.domain)
     out = []
     for c, mult in clusters:
@@ -434,15 +434,6 @@ class CommonEigReport:
         }
 
 
-def _np_nullspace(a: np.ndarray, tol: float) -> np.ndarray:
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    r = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return vh[r:].conj().T
-
-
 def common_eigenvector(rho: Rep, tol: float = DEFAULT_TOL,
                        cluster_tol: float = DEFAULT_CLUSTER_TOL,
                        node_cap: int = 4000) -> CommonEigReport | None:
@@ -455,7 +446,7 @@ def common_eigenvector(rho: Rep, tol: float = DEFAULT_TOL,
     """
     if rho.domain is Domain.LAURENT:
         raise ValueError("common_eigenvector runs over a scalar field; specialize first")
-    cgens = [np.array(g.as_numpy(), dtype=complex) for g in rho.to_complex().gens]
+    cgens = [g.as_numpy() for g in rho.gens]
     n = rho.degree
     state = {"nodes": 0}
 
@@ -495,7 +486,7 @@ def common_eigenvector(rho: Rep, tol: float = DEFAULT_TOL,
         exact = _reconstruct_common_eig(rho, v)
         if exact is not None:
             return exact
-    vec = Mat.column_vector([complex(x) for x in v], Domain.COMPLEX)
+    vec = Mat(n, 1, Domain.COMPLEX, v)
     return CommonEigReport(vec, tuple(lambdas), False)
 
 
@@ -710,8 +701,8 @@ def _parallel(w: Mat, v: Mat, tol: float) -> bool:
                 if lhs != rhs:
                     return False
         return True
-    wv = np.array(w.as_numpy(), dtype=complex).ravel()
-    vv = np.array(v.as_numpy(), dtype=complex).ravel()
+    wv = w.as_numpy().ravel()
+    vv = v.as_numpy().ravel()
     nw = np.linalg.norm(wv)
     nv = np.linalg.norm(vv)
     if nw == 0.0 or nv == 0.0:
@@ -938,13 +929,13 @@ def subgroup_invariance_check(rho: Rep, indices, basis,
         raise ValueError("basis domain does not match the representation")
     entries = []
     if rho.domain is Domain.COMPLEX:
-        varr = np.array(basis.as_numpy(), dtype=complex)
+        varr = basis.as_numpy()
         q, _ = np.linalg.qr(varr)
         s = np.linalg.svd(varr, compute_uv=False)
         r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
         q = q[:, :r]
         for i in indices:
-            w = np.array((rho.gen(i) @ basis).as_numpy(), dtype=complex)
+            w = (rho.gen(i) @ basis).as_numpy()
             defect = w - q @ (q.conj().T @ w)
             scale = max(float(np.max(np.abs(w))), 1e-300)
             resid = float(np.max(np.abs(defect))) / scale

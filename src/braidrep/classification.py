@@ -104,8 +104,7 @@ def recover_parameters(rho: Rep, tol: float = DEFAULT_TOL,
         raise ValueError("parameter recovery needs at least 5 strands")
     if rho.domain is Domain.LAURENT:
         raise ValueError("parameter recovery runs over a scalar field; specialize first")
-    g1 = rho.gen(1) if rho.domain is Domain.COMPLEX else rho.gen(1).to_complex()
-    clusters = eigen_numeric(g1, cluster_tol)
+    clusters = eigen_numeric(rho.gen(1), cluster_tol)
     spectrum = tuple((complex(c), m) for c, m in clusters)
     dominant = [c for c, m in clusters if m == n - 2]
     if len(dominant) != 1:
@@ -216,8 +215,7 @@ def certify_equivalence(rho_a: Rep, rho_b: Rep, tol: float = DEFAULT_TOL,
             "intertwiner space has dimension %d; the pair is reducible" % len(basis),
             None, len(basis), None, None)
     x = basis[0]
-    xa = np.array(x.as_numpy(), dtype=complex)
-    cond = float(np.linalg.cond(xa))
+    cond = float(np.linalg.cond(x.as_numpy()))
     residual = max(relative_residual(a.gen(i) @ x, x @ b.gen(i))
                    for i in range(1, a.strands))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -428,8 +426,7 @@ def _audit_trial(args) -> AuditRow:
     base = character_twist(specialize(standard_rep(n), u), y)
     p = _sample_basis(rng, n)
     pinv = np.linalg.inv(p)
-    gens = [Mat.from_numpy(p @ np.array(g.as_numpy(), dtype=complex) @ pinv)
-            for g in base.gens]
+    gens = [Mat.from_numpy(p @ g.as_numpy() @ pinv) for g in base.gens]
     rho = Rep(n, gens, "hidden twisted family", check=False)
     try:
         report = classify(rho, tol, cluster_tol)

@@ -1,9 +1,11 @@
 """Dense matrices over three scalar domains, with exact and floating kernels.
 
-Domains:
-  RATIONAL  exact rationals (fractions.Fraction)
-  LAURENT   exact Laurent polynomials in t over the rationals
-  COMPLEX   double-precision complex floats
+Domains and how a Mat stores its entries:
+  RATIONAL  exact rationals, a row-major tuple of fractions.Fraction
+  LAURENT   exact Laurent polynomials in t over the rationals, a row-major
+            tuple of LaurentPoly
+  COMPLEX   double-precision complex floats, one read-only row-major
+            complex128 ndarray of the matrix's shape
 
 Exact-domain eliminations are fraction-free (Bareiss for echelon form and
 determinants, Montante's Gauss-Jordan variant for inverses and nullspaces),
@@ -186,22 +188,29 @@ def entry_from_json(v, domain: Domain):
 
 
 class Mat:
-    """Immutable dense matrix with row-major entries in a declared domain."""
+    """Immutable dense matrix with row-major entries in a declared domain.
+    COMPLEX entries may also come as a (copied) ndarray of rows * cols values."""
 
     def __init__(self, rows: int, cols: int, domain: Domain, entries: Iterable):
         self.rows = int(rows)
         self.cols = int(cols)
         self.domain = Domain(domain)
-        coerce = _OPS[self.domain].coerce
-        ent = tuple(coerce(x) for x in entries)
+        if self.domain is Domain.COMPLEX:
+            if not isinstance(entries, np.ndarray):
+                entries = [_coerce_complex(x) for x in entries]
+            ent = np.array(entries, dtype=complex).ravel()
+        else:
+            ent = tuple(_OPS[self.domain].coerce(x) for x in entries)
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix shape")
         if len(ent) != self.rows * self.cols:
             raise ValueError(
                 "entry count %d does not match shape %dx%d" % (len(ent), self.rows, self.cols)
             )
+        if self.domain is Domain.COMPLEX:
+            ent = ent.reshape(self.rows, self.cols)
+            ent.flags.writeable = False
         self.entries = ent
-        self._np_cache: np.ndarray | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -235,14 +244,14 @@ class Mat:
         dom = cols[0].domain
         if any(c.rows != n or c.cols != 1 or c.domain != dom for c in cols):
             raise ValueError("columns must be n x 1 in one domain")
-        return cls(n, len(cols), dom, [c.entries[i] for i in range(n) for c in cols])
+        return cls(n, len(cols), dom, [c.at(i, 0) for i in range(n) for c in cols])
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "Mat":
         a = np.asarray(arr, dtype=complex)
         if a.ndim != 2:
             raise ValueError("expected a 2-d array")
-        return cls(a.shape[0], a.shape[1], Domain.COMPLEX, [complex(x) for x in a.ravel()])
+        return cls(a.shape[0], a.shape[1], Domain.COMPLEX, a)
 
     # -- access ---------------------------------------------------------------
 
@@ -251,13 +260,21 @@ class Mat:
         return self.rows == self.cols
 
     def at(self, i: int, j: int):
+        if self.domain is Domain.COMPLEX:
+            return complex(self.entries[i, j])
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> list:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        return [self.at(i, j) for j in range(self.cols)]
 
     def col(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return [self.at(i, j) for i in range(self.rows)]
+
+    def _flat(self) -> tuple:
+        """Row-major entries as Python scalars."""
+        if self.domain is Domain.COMPLEX:
+            return tuple(self.entries.ravel().tolist())
+        return self.entries
 
     def row_lists(self) -> list[list]:
         return [self.row(i) for i in range(self.rows)]
@@ -272,26 +289,35 @@ class Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
+    def _entrywise(self, f, *others: "Mat") -> "Mat":
+        """f applied entry by entry, or once to the whole arrays for COMPLEX."""
+        args = [self.entries] + [m.entries for m in others]
+        if self.domain is Domain.COMPLEX:
+            return Mat.from_numpy(f(*args))
+        return Mat(self.rows, self.cols, self.domain, map(f, *args))
+
     def __add__(self, other: "Mat") -> "Mat":
         self._require_same_shape(other)
-        o = _OPS[self.domain]
-        return Mat(self.rows, self.cols, self.domain,
-                   [o.add(a, b) for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(_OPS[self.domain].add, other)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._require_same_shape(other)
-        o = _OPS[self.domain]
-        return Mat(self.rows, self.cols, self.domain,
-                   [o.sub(a, b) for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(_OPS[self.domain].sub, other)
 
     def __neg__(self) -> "Mat":
-        o = _OPS[self.domain]
-        return Mat(self.rows, self.cols, self.domain, [o.neg(a) for a in self.entries])
+        return self._entrywise(_OPS[self.domain].neg)
 
     def scale(self, s) -> "Mat":
         o = _OPS[self.domain]
         s = o.coerce(s)
-        return Mat(self.rows, self.cols, self.domain, [o.mul(s, a) for a in self.entries])
+        if self.domain is not Domain.COMPLEX:
+            return self._entrywise(lambda a: o.mul(s, a))
+        # Python's complex * rounds these four real products; numpy's complex
+        # multiply can differ from it in the last bit
+        a = self.entries
+        out = (s.real * a.real - s.imag * a.imag).astype(complex)
+        out.imag = s.real * a.imag + s.imag * a.real
+        return Mat.from_numpy(out)
 
     def __mul__(self, s) -> "Mat":
         return self.scale(s)
@@ -342,7 +368,7 @@ class Mat:
 
     def transpose(self) -> "Mat":
         return Mat(self.cols, self.rows, self.domain,
-                   [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)])
+                   [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
 
     def trace(self):
         if not self.is_square:
@@ -357,38 +383,37 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         return (self.domain == other.domain and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._flat() == other._flat())
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.domain, self.entries))
+        return hash((self.rows, self.cols, self.domain, self._flat()))
 
     def is_zero(self) -> bool:
         o = _OPS[self.domain]
-        return all(o.is_zero(x) for x in self.entries)
+        return all(o.is_zero(x) for x in self._flat())
 
     def max_norm(self) -> float:
         """Largest entry magnitude (max-norm); the residual scale used everywhere."""
+        if self.domain is Domain.COMPLEX:
+            # hypot rounds as Python's abs(complex) does; np.abs can differ
+            a = self.entries
+            return float(np.max(np.hypot(a.real, a.imag), initial=0.0))
         o = _OPS[self.domain]
         return max((o.mag(x) for x in self.entries), default=0.0)
 
     # -- conversions --------------------------------------------------------
 
     def as_numpy(self) -> np.ndarray:
-        """Complex ndarray view; exact entries are converted to floats."""
-        if self._np_cache is None:
-            if self.domain is Domain.LAURENT:
-                raise ValueError("Laurent matrices need an evaluation point first")
-            self._np_cache = np.array(
-                [complex(x) for x in self.entries], dtype=complex
-            ).reshape(self.rows, self.cols)
-        return self._np_cache
+        """Complex ndarray: a COMPLEX matrix's own read-only storage, or a new
+        array of an exact matrix's entries converted to floats."""
+        return self.to_complex().entries
 
     def to_complex(self) -> "Mat":
         if self.domain is Domain.COMPLEX:
             return self
         if self.domain is Domain.LAURENT:
             raise ValueError("Laurent matrices need an evaluation point first")
-        return Mat(self.rows, self.cols, Domain.COMPLEX, [complex(x) for x in self.entries])
+        return Mat(self.rows, self.cols, Domain.COMPLEX, self.entries)
 
     def eval_at(self, u) -> "Mat":
         """Evaluate a LAURENT matrix at t=u: Fraction u gives a RATIONAL
@@ -427,7 +452,7 @@ class Mat:
             "rows": self.rows,
             "cols": self.cols,
             "domain": self.domain.value,
-            "entries": [entry_to_json(x, self.domain) for x in self.entries],
+            "entries": [entry_to_json(x, self.domain) for x in self._flat()],
         }
 
 
@@ -600,8 +625,6 @@ def _canonical_exact_vector(vec: list, domain: Domain) -> list:
         return list(vec)
     if domain is Domain.RATIONAL:
         return [x / lead for x in vec]
-    if domain is Domain.COMPLEX:
-        return [x / lead for x in vec]
     unit = _content(vec, domain)
     vec = [x.divide_exact(unit) if not x.is_zero else x for x in vec]
     lead = next(x for x in vec if not x.is_zero)
@@ -636,15 +659,10 @@ def nullspace(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
             basis.append(Mat.column_vector(vec, m.domain))
         return basis
     if m.domain is Domain.COMPLEX:
-        a = m.as_numpy()
-        _, s, vh = np.linalg.svd(a)
-        smax = s[0] if len(s) else 0.0
-        ker = [vh[i].conj() for i in range(m.cols) if (i >= len(s) or s[i] <= tol * smax)]
         out = []
-        for v in ker:
+        for v in _np_nullspace(m.entries, tol).T:
             k = int(np.argmax(np.abs(v)))
-            v = v / v[k]
-            out.append(Mat.column_vector([complex(x) for x in v], Domain.COMPLEX))
+            out.append(Mat(m.cols, 1, Domain.COMPLEX, v / v[k]))
         return out
     o = _OPS[m.domain]
     red, pivots, p, _ = _montante_reduce(m.row_lists(), o, m.cols)
@@ -659,6 +677,17 @@ def nullspace(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
             vec[c] = o.neg(red[r][f])
         basis.append(Mat.column_vector(_canonical_exact_vector(vec, m.domain), m.domain))
     return basis
+
+
+def _np_nullspace(a: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel of a complex array as the columns of an array: the right
+    singular vectors whose singular values are at most tol * sigma_max."""
+    if a.shape[0] == 0:
+        return np.eye(a.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(a)
+    smax = s[0] if s.size else 0.0
+    r = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    return vh[r:].conj().T
 
 
 def relative_residual(a: Mat, b: Mat) -> float:
@@ -682,14 +711,12 @@ def column_space(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
     if m.rows == 0 or m.cols == 0:
         return []
     if m.domain is Domain.COMPLEX:
-        a = np.array(m.as_numpy(), dtype=complex)
-        u, s, _ = np.linalg.svd(a)
+        u, s, _ = np.linalg.svd(m.entries)
         smax = s[0] if len(s) else 0.0
         if smax == 0.0:
             return []
         r = int(np.sum(s > tol * smax))
-        return [Mat.column_vector([complex(x) for x in u[:, j]], Domain.COMPLEX)
-                for j in range(r)]
+        return [Mat(m.rows, 1, Domain.COMPLEX, u[:, j]) for j in range(r)]
     o = _OPS[m.domain]
     _, piv, _, _ = _bareiss_forward(m.row_lists(), o)
     out = []
@@ -747,7 +774,7 @@ def eigen_numeric(m: Mat, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[tupl
         raise ValueError("eigenvalues of a non-square matrix")
     if m.rows == 0:
         return []
-    a = m.to_complex().as_numpy()
+    a = m.as_numpy()
     vals = np.linalg.eigvals(a)
     thr = cluster_tol * max(float(np.max(np.abs(a))), 1e-300)
     n = len(vals)
@@ -819,7 +846,7 @@ def jordan_structure(m: Mat, tol: float = DEFAULT_TOL,
         raise ValueError("jordan structure of a non-square matrix")
     n = m.rows
     clusters = eigen_numeric(m, cluster_tol)
-    a = m.to_complex().as_numpy()
+    a = m.as_numpy()
     out = []
     for lam, mult in clusters:
         shifted = a - lam * np.eye(n)
@@ -1027,9 +1054,9 @@ def intertwiner_space(a_mats: Sequence[Mat], b_mats: Sequence[Mat],
     """Basis of {X : A_i X = X B_i for all i}.
 
     Vectorizing X row-major turns each condition into the linear system
-    (A_i (x) I - I (x) B_i^T) vec(X) = 0; the systems are stacked and the
-    joint nullspace computed exactly (exact domains) or by SVD (complex).
-    Basis elements are scaled so their largest entry is 1.
+    (A_i (x) I - I (x) B_i^T) vec(X) = 0; the systems are stacked and their
+    joint nullspace taken, exactly or by SVD, with canonically scaled basis
+    vectors.
     """
     if not a_mats or not b_mats or len(a_mats) != len(b_mats):
         raise ValueError("need equally many A and B matrices")
@@ -1043,40 +1070,25 @@ def intertwiner_space(a_mats: Sequence[Mat], b_mats: Sequence[Mat],
         if x.domain != dom or not x.is_square or x.rows != s:
             raise ValueError("B matrices must be square, one size, one domain")
     if dom is Domain.COMPLEX:
-        eye_r = np.eye(r)
-        eye_s = np.eye(s)
-        blocks = [
-            np.kron(A.as_numpy(), eye_s) - np.kron(eye_r, B.as_numpy().T)
+        system = Mat.from_numpy(np.vstack([
+            np.kron(A.entries, np.eye(s)) - np.kron(np.eye(r), B.entries.T)
             for A, B in zip(a_mats, b_mats)
-        ]
-        stacked = np.vstack(blocks)
-        _, sv, vh = np.linalg.svd(stacked)
-        smax = sv[0] if len(sv) else 0.0
-        dim = r * s
-        out = []
-        for i in range(dim):
-            if i < len(sv) and sv[i] > tol * smax:
-                continue
-            v = vh[i].conj()
-            k = int(np.argmax(np.abs(v)))
-            v = v / v[k]
-            out.append(Mat(r, s, Domain.COMPLEX, [complex(x) for x in v]))
-        return out
-    o = _OPS[dom]
-    rows = []
-    for A, B in zip(a_mats, b_mats):
-        for p in range(r):
-            for q in range(s):
-                row = [o.zero] * (r * s)
-                for k in range(r):
-                    apk = A.at(p, k)
-                    if not o.is_zero(apk):
-                        row[k * s + q] = o.add(row[k * s + q], apk)
-                for l in range(s):
-                    blq = B.at(l, q)
-                    if not o.is_zero(blq):
-                        row[p * s + l] = o.sub(row[p * s + l], blq)
-                rows.append(row)
-    system = Mat.from_rows(rows, dom)
-    kernel = nullspace(system)
-    return [Mat(r, s, dom, list(v.entries)) for v in kernel]
+        ]))
+    else:
+        o = _OPS[dom]
+        rows = []
+        for A, B in zip(a_mats, b_mats):
+            for p in range(r):
+                for q in range(s):
+                    row = [o.zero] * (r * s)
+                    for k in range(r):
+                        apk = A.at(p, k)
+                        if not o.is_zero(apk):
+                            row[k * s + q] = o.add(row[k * s + q], apk)
+                    for l in range(s):
+                        blq = B.at(l, q)
+                        if not o.is_zero(blq):
+                            row[p * s + l] = o.sub(row[p * s + l], blq)
+                    rows.append(row)
+        system = Mat.from_rows(rows, dom)
+    return [Mat(r, s, dom, v.entries) for v in nullspace(system, tol)]
