@@ -73,6 +73,53 @@ def test_complex_matmul_matches_numpy():
     assert np.allclose((ma @ mb).as_numpy(), a @ b)
 
 
+def test_complex_storage_is_read_only():
+    src = np.eye(2)
+    m = Mat.from_numpy(src)
+    src[0, 0] = 7.0  # the Mat keeps its own copy
+    a = m.as_numpy()
+    assert not a.flags.writeable
+    assert np.shares_memory(a, m.as_numpy())
+    with pytest.raises(ValueError):
+        a[0, 0] = 5
+    ones = Mat.from_numpy(np.ones((2, 1)))
+    assert (m @ ones).at(0, 0) == 1
+    assert m.to_json_dict()["entries"][0] == [1.0, 0.0]
+    assert m == Mat.identity(2, Domain.COMPLEX)
+
+
+def _bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def _entries(m: Mat) -> list:
+    return [x for row in m.row_lists() for x in row]
+
+
+def test_complex_entrywise_ops_match_python_complex():
+    # reference: Python complex arithmetic entry by entry
+    rng = random.Random(17)
+    special = [0.0, -0.0, 1e200, -1e200, 1e-200, -1e-200]
+
+    def draw():
+        if rng.random() < 0.4:
+            return complex(rng.choice(special), rng.choice(special))
+        return complex(rng.uniform(-3, 3) * 10 ** rng.choice([-200, 0, 200]),
+                       rng.uniform(-3, 3) * 10 ** rng.choice([-200, 0, 200]))
+
+    for _ in range(20):
+        xs = [draw() for _ in range(12)]
+        ys = [draw() for _ in range(12)]
+        a, b = Mat(3, 4, Domain.COMPLEX, xs), Mat(3, 4, Domain.COMPLEX, ys)
+        assert _bits(_entries(a + b)) == _bits([x + y for x, y in zip(xs, ys)])
+        assert _bits(_entries(a - b)) == _bits([x - y for x, y in zip(xs, ys)])
+        assert _bits(_entries(-a)) == _bits([-x for x in xs])
+        for s in [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), complex(-0.0, 2.0),
+                  complex(0.0, -0.0), 2.5, -0.0, -3, Fraction(1, 3)]:
+            assert _bits(_entries(a.scale(s))) == _bits([complex(s) * x for x in xs])
+        assert a.max_norm().hex() == max(abs(x) for x in xs).hex()
+
+
 def test_pow_and_transpose():
     m = Mat.from_rows([[1, 1], [0, 1]], Domain.RATIONAL)
     assert (m ** 3).at(0, 1) == 3
