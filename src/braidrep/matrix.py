@@ -684,7 +684,8 @@ def _np_nullspace(a: np.ndarray, tol: float) -> np.ndarray:
     singular vectors whose singular values are at most tol * sigma_max."""
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a)
+    # a wide input needs the full vh to hold its kernel; no caller reads u
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     smax = s[0] if s.size else 0.0
     r = int(np.sum(s > tol * smax)) if smax > 0 else 0
     return vh[r:].conj().T
