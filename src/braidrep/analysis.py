@@ -929,11 +929,9 @@ def subgroup_invariance_check(rho: Rep, indices, basis,
         raise ValueError("basis domain does not match the representation")
     entries = []
     if rho.domain is Domain.COMPLEX:
-        varr = basis.as_numpy()
-        q, _ = np.linalg.qr(varr)
-        s = np.linalg.svd(varr, compute_uv=False)
+        u, s, _ = np.linalg.svd(basis.as_numpy(), full_matrices=False)
         r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-        q = q[:, :r]
+        q = u[:, :r]
         for i in indices:
             w = (rho.gen(i) @ basis).as_numpy()
             defect = w - q @ (q.conj().T @ w)

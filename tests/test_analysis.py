@@ -479,6 +479,17 @@ def test_invariance_check_numeric():
     assert not subgroup_invariance_check(generic, [1, 2, 3], ones).ok
 
 
+def test_invariance_check_numeric_dependent_column():
+    # the sum-zero subspace at the permutation point, spanned by
+    # v_k = e_k - e_{k+1} with v_1 given twice
+    rho = specialize(standard_rep(5), 1 + 0j)
+    diffs = [Mat.column_vector([1.0 if i == k else -1.0 if i == k + 1 else 0.0
+                                for i in range(5)], Domain.COMPLEX) for k in range(4)]
+    rep = subgroup_invariance_check(rho, [1, 2, 3, 4], [diffs[0]] + diffs)
+    assert rep.ok
+    assert all(r <= 1e-12 for _, _, r in rep.entries)
+
+
 # ---------------------------------------------------------------------------
 # invariant subspace search
 # ---------------------------------------------------------------------------
