@@ -200,7 +200,7 @@ class Mat:
                 entries = [_coerce_complex(x) for x in entries]
             ent = np.array(entries, dtype=complex).ravel()
         else:
-            ent = tuple(_OPS[self.domain].coerce(x) for x in entries)
+            ent = tuple(map(_OPS[self.domain].coerce, entries))
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix shape")
         if len(ent) != self.rows * self.cols:
@@ -310,14 +310,14 @@ class Mat:
     def scale(self, s) -> "Mat":
         o = _OPS[self.domain]
         s = o.coerce(s)
-        if self.domain is not Domain.COMPLEX:
-            return self._entrywise(lambda a: o.mul(s, a))
-        # Python's complex * rounds these four real products; numpy's complex
-        # multiply can differ from it in the last bit
-        a = self.entries
-        out = (s.real * a.real - s.imag * a.imag).astype(complex)
-        out.imag = s.real * a.imag + s.imag * a.real
-        return Mat.from_numpy(out)
+        if self.domain is Domain.COMPLEX:
+            # Python's complex * rounds these four real products; numpy's
+            # complex multiply can differ from it in the last bit
+            a = self.entries
+            out = (s.real * a.real - s.imag * a.imag).astype(complex)
+            out.imag = s.real * a.imag + s.imag * a.real
+            return Mat.from_numpy(out)
+        return Mat(self.rows, self.cols, self.domain, [o.mul(s, a) for a in self.entries])
 
     def __mul__(self, s) -> "Mat":
         return self.scale(s)
