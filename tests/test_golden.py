@@ -9,7 +9,9 @@ hidden-basis inputs are twisted families conjugated by a random basis drawn
 from a fixed numpy seed (hidden_n9.rep.json, hidden_n12.rep.json).  The
 command set leaves out real u < 0 with real y and |u| near 3e-3, where
 classify gave wrong verdicts when the goldens were recorded, so every golden
-is a right report.
+is a right report.  Three cases pin typed errors, whose envelope exits with
+code 1: u = 1 is reducible over the complex numbers and over the rationals,
+and u = 1.0005 recovers a degenerate u.
 
 A deliberate report change is recorded again with
 
@@ -52,6 +54,11 @@ CASES = {
     "audit_n9": ["audit", "--n", "9", "--trials", "6", "--seed", "7"],
     "classify_hidden_n9": ["classify", "--rep", "{golden}/hidden_n9.rep.json"],
     "classify_hidden_n12": ["classify", "--rep", "{golden}/hidden_n12.rep.json"],
+    "classify_n9_u1_complex": ["classify", "--family", "standard", "--n", "9",
+                               "--u", "1+0j", "--y", "2+0j"],
+    "classify_n9_u1_exact": ["classify", "--family", "standard", "--n", "9", "--u", "1"],
+    "classify_n9_near_one": ["classify", "--family", "standard", "--n", "9",
+                             "--u=1.0005+0j", "--y", "1+0j"],
 }
 
 # hidden-basis inputs: file stem -> (n, y, u, numpy seed), generic (y, u)
@@ -73,8 +80,9 @@ def run(name: str) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name):
     code, out = run(name)
-    assert code == 0
-    assert out == (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
+    golden = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
+    assert code == (0 if json.loads(golden)["ok"] else 1)
+    assert out == golden
 
 
 if __name__ == "__main__":
@@ -87,7 +95,7 @@ if __name__ == "__main__":
             json.dumps(rep, sort_keys=True) + "\n", encoding="utf-8")
     for name in sorted(CASES):
         code, out = run(name)
-        if code != 0:
+        if code != (0 if json.loads(out)["ok"] else 1):
             raise SystemExit("%s exited %d" % (name, code))
         (GOLDEN / (name + ".json")).write_text(out, encoding="utf-8")
         print("recorded", name)
