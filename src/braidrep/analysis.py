@@ -45,8 +45,10 @@ import numpy as np
 from .braid import theta_word
 from .errors import (
     ClosureDiverged,
+    ClusterAmbiguous,
     GenericDisagreement,
     NotEigenvalue,
+    NotInvertible,
     NotScalar,
     WitnessInvalid,
 )
@@ -256,6 +258,7 @@ class BurnsideReport:
     dimension: int
     generations: int
     notes: str = ""
+    method: str = "span"  # "span": closure of the image; "norton": Norton's test
 
     @property
     def full(self) -> bool:
@@ -269,6 +272,7 @@ class BurnsideReport:
             "full": self.full,
             "generations": self.generations,
             "notes": self.notes,
+            "method": self.method,
         }
 
 
@@ -413,6 +417,48 @@ def burnside_dimension(rho: Rep, tol: float = DEFAULT_TOL,
     dim, generations = _image_span(list(rho.gens), rho.degree, rho.domain,
                                    tol, max_generations)
     return BurnsideReport(rho.degree, rho.domain, dim, generations)
+
+
+def _norton(rho: Rep, tol: float = DEFAULT_TOL,
+            cluster_tol: float = DEFAULT_CLUSTER_TOL) -> BurnsideReport | None:
+    """Norton's irreducibility test on the complexification, or None.
+
+    Take theta = rho(s1) - lam*I for the first simple eigenvalue lam whose
+    kernel v and transposed kernel w both have nullity 1.  The module is
+    absolutely irreducible exactly when v spins to C^n under the generators
+    and w spins to C^n under the dual action, and then the image spans all
+    n^2 matrices (Burnside).  The dual action is the inverse transposes:
+    they generate the same algebra as the transposes, so w spins to the
+    same subspace, but the spin does not shrink by a factor u per step as
+    it does under the transposes of the block family.  Returns the full
+    report, or None whenever the test does not certify: it never reports a
+    reducible module.
+    """
+    n = rho.degree
+    crho = rho.to_complex()
+    try:
+        clusters = eigen_numeric(crho.gen(1), cluster_tol)
+        duals = [crho.gen_inverse(i).as_numpy().T for i in range(1, crho.strands)]
+    except (ClusterAmbiguous, NotInvertible):
+        return None
+    gens = [g.as_numpy() for g in crho.gens]
+    for lam, mult in clusters:
+        if mult != 1:
+            continue
+        theta = gens[0] - lam * np.eye(n)
+        v = _np_nullspace(theta, tol)
+        w = _np_nullspace(theta.T, tol)
+        if v.shape[1] != 1 or w.shape[1] != 1:
+            continue
+        generations = []
+        for seed, ops in ((v[:, 0], gens), (w[:, 0], duals)):
+            basis = _OrthoBasis(tol)
+            generations.append(_spin([seed], ops, basis, n))
+            if basis.dim < n:
+                return None
+        return BurnsideReport(n, Domain.COMPLEX, n * n, max(generations),
+                              method="norton")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import BurnsideReport, burnside_dimension, corank, scalar_to_json
+from .analysis import (
+    BurnsideReport,
+    _norton,
+    _OrthoBasis,
+    _spin,
+    burnside_dimension,
+    corank,
+    scalar_to_json,
+)
 from .errors import (
     BraidRepError,
     DegenerateU,
@@ -50,6 +58,7 @@ from .matrix import (
     DEFAULT_TOL,
     Domain,
     Mat,
+    _np_nullspace,
     eigen_numeric,
     intertwiner_space,
     relative_residual,
@@ -172,49 +181,8 @@ def _format_spectrum(clusters: list) -> list[str]:
     return ["%.6g%+.6gj" % (c.real, c.imag) for c, m in clusters for _ in range(m)]
 
 
-def certify_equivalence(rho_a: Rep, rho_b: Rep, tol: float = DEFAULT_TOL,
-                        cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EquivalenceCert:
-    """Decide whether two representations are conjugate, with evidence.
-
-    Three stages: per-generator spectra must agree as multisets (cheap
-    obstruction), the joint intertwiner equation A_i X = X B_i must have a
-    one-dimensional solution space, and the solution must be invertible with
-    a small conjugation residual.  A zero intertwiner space refutes
-    equivalence outright; two or more dimensions mean the pair is reducible
-    and the certificate stays INCONCLUSIVE.  Runs on the complexification.
-    """
-    if rho_a.strands != rho_b.strands:
-        raise ValueError("cannot compare representations of different strand counts")
-    if rho_a.degree != rho_b.degree:
-        return EquivalenceCert("NOT_EQUIVALENT",
-                               "degrees differ: %d vs %d" % (rho_a.degree, rho_b.degree),
-                               None, None, None, None)
-    a = rho_a if rho_a.domain is Domain.COMPLEX else rho_a.to_complex()
-    b = rho_b if rho_b.domain is Domain.COMPLEX else rho_b.to_complex()
-    scale = max(max(g.max_norm() for g in a.gens),
-                max(g.max_norm() for g in b.gens), 1.0)
-    match_tol = cluster_tol * scale
-    for i in range(1, a.strands):
-        ca = eigen_numeric(a.gen(i), cluster_tol)
-        cb = eigen_numeric(b.gen(i), cluster_tol)
-        worst = _spectrum_gap(ca, cb)
-        if worst > match_tol:
-            return EquivalenceCert(
-                "NOT_EQUIVALENT",
-                "generator s%d: spectra differ by %.3g (%s vs %s)"
-                % (i, worst, _format_spectrum(ca), _format_spectrum(cb)),
-                None, None, None, None)
-    basis = intertwiner_space(list(a.gens), list(b.gens), tol)
-    if not basis:
-        return EquivalenceCert("NOT_EQUIVALENT",
-                               "no nonzero intertwiner solves A X = X B",
-                               None, 0, None, None)
-    if len(basis) > 1:
-        return EquivalenceCert(
-            "INCONCLUSIVE",
-            "intertwiner space has dimension %d; the pair is reducible" % len(basis),
-            None, len(basis), None, None)
-    x = basis[0]
+def _verified(a: Rep, b: Rep, x: Mat, tol: float) -> EquivalenceCert:
+    """Certificate for a one-dimensional intertwiner space spanned by x."""
     cond = float(np.linalg.cond(x.as_numpy()))
     residual = max(relative_residual(a.gen(i) @ x, x @ b.gen(i))
                    for i in range(1, a.strands))
@@ -229,6 +197,100 @@ def certify_equivalence(rho_a: Rep, rho_b: Rep, tol: float = DEFAULT_TOL,
             "intertwiner residual %.3g exceeds tolerance %.3g" % (residual, tol),
             x, 1, residual, cond)
     return EquivalenceCert("EQUIVALENT", None, x, 1, residual, cond)
+
+
+def _graph_intertwiner(a: Rep, b: Rep, ca: list, cb: list,
+                       tol: float) -> EquivalenceCert | None:
+    """EQUIVALENT certificate from one n-dimensional spin, or None.
+
+    An intertwiner A_i X = X B_i has the graph {(z, Xz)} as a submodule of
+    B (+) A.  Seeded with (v_b, v_a), eigenvectors of B_1 and A_1 for
+    matching simple eigenvalues, the spin under diag(B_i, A_i) stops at
+    dimension n on that graph, with an invertible top block Q_b, and
+    X = Q_a Q_b^-1.  Then v_b is cyclic and X is fixed by X v_b, a multiple
+    of v_a, so the intertwiner space is one-dimensional.  X is scaled as
+    nullspace scales vec(X) and verified as the Kronecker solution is.
+    Returns None whenever the spin, the block or the verification fails.
+    """
+    n = a.degree
+    ops = [np.block([[bg.as_numpy(), np.zeros((n, n))], [np.zeros((n, n)), ag.as_numpy()]])
+           for ag, bg in zip(a.gens, b.gens)]
+    a1, b1 = a.gen(1).as_numpy(), b.gen(1).as_numpy()
+    simple_a = [c for c, m in ca if m == 1]
+    for lam, m in cb:
+        if m != 1 or not simple_a:
+            continue
+        mu = min(simple_a, key=lambda c: abs(c - lam))
+        v_b = _np_nullspace(b1 - lam * np.eye(n), tol)
+        v_a = _np_nullspace(a1 - mu * np.eye(n), tol)
+        if v_b.shape[1] != 1 or v_a.shape[1] != 1:
+            continue
+        basis = _OrthoBasis(tol)
+        _spin([np.concatenate([v_b[:, 0], v_a[:, 0]])], ops, basis, n + 1)
+        if basis.dim != n:
+            continue
+        q = basis.q[:, :n]
+        if np.linalg.cond(q[:n]) > _COND_LIMIT:
+            continue
+        x = np.linalg.solve(q[:n].T, q[n:].T).T  # X Q_b = Q_a
+        x = x / x.flat[int(np.argmax(np.abs(x)))]
+        cert = _verified(a, b, Mat.from_numpy(x), tol)
+        if cert.verdict == "EQUIVALENT":
+            return cert
+    return None
+
+
+def certify_equivalence(rho_a: Rep, rho_b: Rep, tol: float = DEFAULT_TOL,
+                        cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EquivalenceCert:
+    """Decide whether two representations are conjugate, with evidence.
+
+    Three stages: per-generator spectra must agree as multisets (cheap
+    obstruction), the joint intertwiner equation A_i X = X B_i must have a
+    one-dimensional solution space, and the solution must be invertible with
+    a small conjugation residual.  A zero intertwiner space refutes
+    equivalence outright; two or more dimensions mean the pair is reducible
+    and the certificate stays INCONCLUSIVE.  The intertwiner comes from an
+    n-dimensional graph spin when that certifies EQUIVALENT, and otherwise
+    from the stacked Kronecker system, which gives every other verdict.
+    Runs on the complexification.
+    """
+    if rho_a.strands != rho_b.strands:
+        raise ValueError("cannot compare representations of different strand counts")
+    if rho_a.degree != rho_b.degree:
+        return EquivalenceCert("NOT_EQUIVALENT",
+                               "degrees differ: %d vs %d" % (rho_a.degree, rho_b.degree),
+                               None, None, None, None)
+    a = rho_a if rho_a.domain is Domain.COMPLEX else rho_a.to_complex()
+    b = rho_b if rho_b.domain is Domain.COMPLEX else rho_b.to_complex()
+    scale = max(max(g.max_norm() for g in a.gens),
+                max(g.max_norm() for g in b.gens), 1.0)
+    match_tol = cluster_tol * scale
+    spectra = []
+    for i in range(1, a.strands):
+        ca = eigen_numeric(a.gen(i), cluster_tol)
+        cb = eigen_numeric(b.gen(i), cluster_tol)
+        worst = _spectrum_gap(ca, cb)
+        if worst > match_tol:
+            return EquivalenceCert(
+                "NOT_EQUIVALENT",
+                "generator s%d: spectra differ by %.3g (%s vs %s)"
+                % (i, worst, _format_spectrum(ca), _format_spectrum(cb)),
+                None, None, None, None)
+        spectra.append((ca, cb))
+    cert = _graph_intertwiner(a, b, *spectra[0], tol)
+    if cert is not None:
+        return cert
+    basis = intertwiner_space(list(a.gens), list(b.gens), tol)
+    if not basis:
+        return EquivalenceCert("NOT_EQUIVALENT",
+                               "no nonzero intertwiner solves A X = X B",
+                               None, 0, None, None)
+    if len(basis) > 1:
+        return EquivalenceCert(
+            "INCONCLUSIVE",
+            "intertwiner space has dimension %d; the pair is reducible" % len(basis),
+            None, len(basis), None, None)
+    return _verified(a, b, basis[0], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +329,22 @@ class ClassificationReport:
         }
 
 
+def _match_model(rho: Rep, tol: float,
+                 cluster_tol: float) -> tuple[RecoveredParams, EquivalenceCert]:
+    params = recover_parameters(rho, tol, cluster_tol)
+    model = character_twist(specialize(standard_rep(rho.strands), params.u), params.y)
+    return params, certify_equivalence(rho, model, tol, cluster_tol)
+
+
 def classify(rho: Rep, tol: float = DEFAULT_TOL,
              cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ClassificationReport:
     """Match an irreducible degree-n representation of n strands to the family.
 
-    Pipeline: verify the defining relations, certify irreducibility by span
-    dimension (NotIrreducible otherwise), recover (y, u) from the spectrum,
-    rebuild the twisted model and certify equivalence.  For n >= 9 a
+    Pipeline: verify the defining relations, certify irreducibility by
+    Norton's test, recover (y, u) from the spectrum, rebuild the twisted
+    model and certify equivalence.  Unless that ends EQUIVALENT, the pipeline
+    runs again with irreducibility certified by span dimension
+    (NotIrreducible otherwise), and that run decides the outcome.  For n >= 9 a
     NOT_EQUIVALENT verdict on an irreducible input contradicts the
     classification this package implements, so the report says so loudly.
     """
@@ -286,14 +357,22 @@ def classify(rho: Rep, tol: float = DEFAULT_TOL,
         raise RelationFailure(
             "input does not satisfy the braid relations (max residual %.3g)"
             % relations.max_residual)
-    burnside = burnside_dimension(rho, tol)
-    if not burnside.full:
-        raise NotIrreducible(
-            "image span has dimension %d of %d; the representation is reducible"
-            % (burnside.dimension, rho.degree ** 2))
-    params = recover_parameters(rho, tol, cluster_tol)
-    model = character_twist(specialize(standard_rep(rho.strands), params.u), params.y)
-    cert = certify_equivalence(rho, model, tol, cluster_tol)
+    burnside = _norton(rho, tol, cluster_tol)
+    cert = None
+    if burnside is not None:
+        # Norton's test alone decides nothing: an EQUIVALENT certificate
+        # against the irreducible model is what proves irreducibility
+        try:
+            params, cert = _match_model(rho, tol, cluster_tol)
+        except (BraidRepError, ValueError):
+            pass
+    if cert is None or cert.verdict != "EQUIVALENT":
+        burnside = burnside_dimension(rho, tol)
+        if not burnside.full:
+            raise NotIrreducible(
+                "image span has dimension %d of %d; the representation is reducible"
+                % (burnside.dimension, rho.degree ** 2))
+        params, cert = _match_model(rho, tol, cluster_tol)
     contradiction = rho.strands >= 9 and cert.verdict == "NOT_EQUIVALENT"
     notes = ""
     if contradiction:
