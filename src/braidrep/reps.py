@@ -113,6 +113,7 @@ class Rep:
         self.gens = gens
         self.label = label
         self._inv_cache: dict[int, Mat] = {}
+        self._relations: RelationReport | None = None
         if check:
             for k, g in enumerate(gens):
                 try:
@@ -124,6 +125,7 @@ class Rep:
                 raise RelationFailure(
                     "braid relations fail, max residual %.3g" % report.max_residual
                 )
+            self._relations = report
 
     def gen(self, i: int) -> Mat:
         """Image of s_i, 1-based."""
@@ -334,8 +336,11 @@ def check_braid_relations(rho: Rep, tol: float = DEFAULT_TOL) -> RelationReport:
     """Verify s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1} and far commutation.
 
     Returns a report with one relative max-norm residual per relation; exact
-    domains must come out identically zero.
+    domains must come out identically zero.  A representation checked on
+    construction keeps its report, which is returned again for the same tol.
     """
+    if rho._relations is not None and rho._relations.tol == tol:
+        return rho._relations
     entries = []
     gens = rho.gens
     m = rho.strands
