@@ -166,6 +166,39 @@ def test_burnside_generation_cap():
         burnside_dimension(specialize(standard_rep(3), 2), max_generations=0)
 
 
+def _complexified_families(n):
+    yield specialize(standard_rep(n), 2.2 + 0.9j), True
+    yield specialize(standard_rep(n), 1.0 + 0j), False
+    yield specialize(burau_rep(n), 2.2 + 0.9j), False
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_norton_agrees_with_span_closure(n):
+    for rho, irreducible in _complexified_families(n):
+        closure = burnside_dimension(rho)
+        norton = analysis._norton(rho)
+        assert closure.full is irreducible and closure.method == "span"
+        assert (norton is not None) is irreducible
+        if norton is not None:
+            assert norton.method == "norton" and norton.full
+            assert norton.dimension == n * n and norton.domain is Domain.COMPLEX
+            assert norton.to_json_dict()["method"] == "norton"
+
+
+def test_norton_declines_direct_sum():
+    rho = direct_sum(character_rep(3, 2 + 0j), specialize(standard_rep(3), 2.0 + 0j))
+    assert analysis._norton(rho) is None
+    assert not burnside_dimension(rho).full
+
+
+def test_norton_certifies_near_zero_u():
+    # the dual spin runs under the inverse transposes; under the transposes
+    # of the block family it shrinks by u per step and stalls at dimension 4
+    for n in (5, 9):
+        rho = specialize(standard_rep(n), 3e-3 + 0j)
+        assert analysis._norton(rho).full
+
+
 def _loop_gram_schmidt(vectors, tol):
     # reference: one vector at a time, re-orthogonalized once
     basis, kept = [], []

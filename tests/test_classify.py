@@ -1,6 +1,8 @@
 """Tests for parameter recovery, equivalence certificates and the pipeline."""
 
+import cmath
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +20,17 @@ from braidrep.errors import (
     NoDominantEigenvalue,
     NotIrreducible,
 )
-from braidrep.matrix import Domain, Mat
-from braidrep.reps import Rep, character_rep, character_twist, specialize, standard_rep
+from braidrep.analysis import burnside_dimension
+from braidrep.matrix import Domain, Mat, eigen_numeric, intertwiner_space
+from braidrep.reps import (
+    Rep,
+    character_rep,
+    character_twist,
+    rep_from_json,
+    specialize,
+    standard_rep,
+)
+from test_golden import GOLDEN, HIDDEN
 
 
 def hidden_model(n: int, y: complex, u: complex, seed: int) -> Rep:
@@ -132,6 +143,49 @@ def test_certify_reducible_pair_inconclusive():
     assert cert.intertwiner_dim == 2
 
 
+def _graph_spin(a, b):
+    return classify_mod._graph_intertwiner(
+        a, b, eigen_numeric(a.gen(1)), eigen_numeric(b.gen(1)), 1e-9)
+
+
+def _graph_spin_case(case):
+    if isinstance(case, str):  # a golden hidden-basis input
+        n, y, u, _ = HIDDEN[case]
+        data = json.loads((GOLDEN / (case + ".rep.json")).read_text(encoding="utf-8"))
+        return rep_from_json(data), y, u
+    n, seed = case  # a random twisted family
+    rng = np.random.default_rng(seed)
+    y = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2 * np.pi))
+    u = complex(rng.uniform(-2.5, 4.0), rng.uniform(-1.5, 1.5))
+    return hidden_model(n, y, u, seed), y, u
+
+
+@pytest.mark.parametrize("case", sorted(HIDDEN) + [(5, 50), (9, 51), (9, 52), (12, 53)])
+def test_graph_spin_intertwiner_matches_kronecker(case):
+    rho, y, u = _graph_spin_case(case)
+    model = character_twist(specialize(standard_rep(rho.strands), u), y)
+    cert = _graph_spin(rho, model)
+    assert cert.verdict == "EQUIVALENT" and cert.intertwiner_dim == 1
+    (ref,) = intertwiner_space(list(rho.gens), list(model.gens))
+    x, r = cert.intertwiner.as_numpy(), ref.as_numpy()
+    assert np.max(np.abs(x - r)) <= 1e-9 * np.max(np.abs(r))
+    assert certify_equivalence(rho, model) == cert
+
+
+def test_graph_spin_declines_different_u():
+    a = character_twist(specialize(standard_rep(9), 3.0 + 0j), 2.0 + 0j)
+    b = character_twist(specialize(standard_rep(9), 4.0 + 0j), 2.0 + 0j)
+    assert _graph_spin(a, b) is None
+
+
+def test_graph_spin_declines_reducible_pair():
+    a = specialize(standard_rep(9), 1.0 + 0j)
+    assert _graph_spin(a, a) is None
+    cert = certify_equivalence(a, a)
+    assert cert.verdict == "INCONCLUSIVE"
+    assert cert.intertwiner_dim == 2
+
+
 def test_certify_degree_mismatch():
     a = specialize(standard_rep(5), 2)
     b = character_rep(5, Fraction(2))
@@ -209,6 +263,29 @@ def test_classify_reducible_raises():
         classify(specialize(standard_rep(5), 1.0))
 
 
+@pytest.mark.parametrize("n", [5, 6, 9])
+def test_classify_near_zero_u(n):
+    # the span closure under-counts at |u| = 3e-3 (24 of 25 at n = 5, while
+    # the exact span at u = 3/1000 is 25), so classify used to raise
+    # NotIrreducible here
+    y, u = cmath.rect(1.1, 0.4), cmath.rect(3e-3, 1.0)
+    report = classify(hidden_model(n, y, u, seed=n))
+    _classified_as(report, y, u)
+    assert report.burnside.method == "norton"
+    if n == 5:
+        assert burnside_dimension(specialize(standard_rep(5), Fraction(3, 1000))).full
+
+
+def test_classify_n40_within_budget():
+    y, u = cmath.rect(1.1, 0.4), 1.7 - 0.6j
+    rho = hidden_model(40, y, u, seed=40)
+    start = time.perf_counter()
+    report = classify(rho)
+    assert time.perf_counter() - start < 30.0
+    assert report.certificate.verdict == "EQUIVALENT"
+    assert abs(report.y - y) < 1e-7 and abs(report.u - u) < 1e-7
+
+
 def test_classify_usage_errors():
     with pytest.raises(ValueError):
         classify(character_rep(5, Fraction(2)))
@@ -223,6 +300,9 @@ def test_classify_contradiction_flag(monkeypatch):
 
     monkeypatch.setattr(classify_mod, "certify_equivalence", fake_cert)
     report = classify_mod.classify(hidden_model(9, 2.0, 3.0, seed=1))
+    # Norton's test certifies, but a verdict other than EQUIVALENT reruns
+    # the pipeline on the span closure, which then decides
+    assert report.burnside.method == "span"
     assert report.contradiction
     assert "THEOREM-CONTRADICTION" in report.notes
 

@@ -1,5 +1,6 @@
 """Tests for the representation families and transforms."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -255,3 +256,14 @@ def test_relation_report_json():
     assert rep["ok"] is True
     assert rep["max_residual"] == 0.0
     assert {e["kind"] for e in rep["relations"]} == {"adjacent", "far"}
+
+
+def test_checked_rep_keeps_its_relation_report():
+    gens = [g.to_complex() for g in specialize(standard_rep(5), 3).gens]
+    rho = Rep(5, gens, tol=1e-9)
+    report = check_braid_relations(rho, 1e-9)
+    assert report is check_braid_relations(rho, 1e-9)
+    fresh = check_braid_relations(Rep(5, gens, check=False), 1e-9)
+    assert json.dumps(report.to_json_dict()) == json.dumps(fresh.to_json_dict())
+    other = check_braid_relations(rho, 1e-6)
+    assert other is not report and other.tol == 1e-6
