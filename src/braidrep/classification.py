@@ -13,13 +13,17 @@ The pipeline here makes that effective:
                         representations: compare spectra generator by
                         generator, then solve for an intertwiner; a
                         one-dimensional intertwiner space with an invertible,
-                        low-residual matrix certifies equivalence.
-  classify              relations -> irreducibility (span dimension) ->
-                        parameter recovery -> certified comparison against
-                        the rebuilt model.  Raises NotIrreducible when the
-                        span test fails; flags THEOREM-CONTRADICTION in the
-                        report if an irreducible input with n >= 9 refuses to
-                        match (no such input should exist).
+                        low-residual matrix certifies equivalence.  The
+                        intertwiner comes from an n-dimensional graph spin
+                        when that certifies, else from the Kronecker system.
+  classify              relations -> irreducibility -> parameter recovery ->
+                        certified comparison against the rebuilt model.
+                        Irreducibility is certified by Norton's test, with
+                        the span closure as the fallback that decides every
+                        outcome other than EQUIVALENT.  Raises NotIrreducible
+                        when the span test fails; flags THEOREM-CONTRADICTION
+                        in the report if an irreducible input with n >= 9
+                        refuses to match (no such input should exist).
   audit_theorem         randomized end-to-end exercise: sample (y, u), build
                         the twisted family, hide it behind a random
                         well-conditioned change of basis, and require the
