@@ -221,8 +221,10 @@ def _graph_intertwiner(a: Rep, b: Rep, ca: list, cb: list,
            for ag, bg in zip(a.gens, b.gens)]
     a1, b1 = a.gen(1).as_numpy(), b.gen(1).as_numpy()
     simple_a = [c for c, m in ca if m == 1]
+    if not simple_a:
+        return None
     for lam, m in cb:
-        if m != 1 or not simple_a:
+        if m != 1:
             continue
         mu = min(simple_a, key=lambda c: abs(c - lam))
         v_b = _np_nullspace(b1 - lam * np.eye(n), tol)
@@ -269,7 +271,6 @@ def certify_equivalence(rho_a: Rep, rho_b: Rep, tol: float = DEFAULT_TOL,
     scale = max(max(g.max_norm() for g in a.gens),
                 max(g.max_norm() for g in b.gens), 1.0)
     match_tol = cluster_tol * scale
-    spectra = []
     for i in range(1, a.strands):
         ca = eigen_numeric(a.gen(i), cluster_tol)
         cb = eigen_numeric(b.gen(i), cluster_tol)
@@ -280,8 +281,9 @@ def certify_equivalence(rho_a: Rep, rho_b: Rep, tol: float = DEFAULT_TOL,
                 "generator s%d: spectra differ by %.3g (%s vs %s)"
                 % (i, worst, _format_spectrum(ca), _format_spectrum(cb)),
                 None, None, None, None)
-        spectra.append((ca, cb))
-    cert = _graph_intertwiner(a, b, *spectra[0], tol)
+        if i == 1:
+            s1_spectra = (ca, cb)
+    cert = _graph_intertwiner(a, b, *s1_spectra, tol)
     if cert is not None:
         return cert
     basis = intertwiner_space(list(a.gens), list(b.gens), tol)
