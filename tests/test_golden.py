@@ -9,9 +9,10 @@ hidden-basis inputs are twisted families conjugated by a random basis drawn
 from a fixed numpy seed (hidden_n9.rep.json, hidden_n12.rep.json).  The
 command set leaves out real u < 0 with real y and |u| near 3e-3, where
 classify gave wrong verdicts when the goldens were recorded, so every golden
-is a right report.  Three cases pin typed errors, whose envelope exits with
+is a right report.  Four cases pin typed errors, whose envelope exits with
 code 1: u = 1 is reducible over the complex numbers and over the rationals,
-and u = 1.0005 recovers a degenerate u.
+u = 1.0005 recovers a degenerate u, and a span closure capped at three
+generations diverges.
 
 A deliberate report change is recorded again with
 
@@ -40,10 +41,15 @@ CASES = {
     "irreducible_n5_23_7": ["irreducible", "--family", "standard", "--n", "5", "--u", "23/7"],
     "irreducible_n6_neg5_3": ["irreducible", "--family", "standard", "--n", "6", "--u=-5/3"],
     "irreducible_n7_one": ["irreducible", "--family", "standard", "--n", "7", "--u", "1"],
+    "irreducible_n7_37_9": ["irreducible", "--family", "standard", "--n", "7", "--u", "37/9"],
+    "irreducible_n7_37_9_cap3": ["irreducible", "--family", "standard", "--n", "7",
+                                 "--u", "37/9", "--max-generations", "3"],
     "irreducible_n5_laurent": ["irreducible", "--family", "standard", "--n", "5"],
     "irreducible_n6_complex": ["irreducible", "--family", "standard", "--n", "6",
                                "--u", "2.5+0.5j"],
     "irreducible_burau_n4": ["irreducible", "--family", "burau", "--n", "4", "--u", "3"],
+    "irreducible_burau_n6_neg7_2": ["irreducible", "--family", "burau", "--n", "6",
+                                    "--u=-7/2"],
     "corank_n9": ["corank", "--family", "standard", "--n", "9", "--u", "4"],
     "jordan_readme": ["jordan", "--family", "standard", "--n", "9", "--u", "3", "--y", "2",
                       "--word", "s8", "--eigenvalue", "2",
