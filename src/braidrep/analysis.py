@@ -25,7 +25,10 @@ _spin: it closes the span of some seed elements under left multiplication by
 a list of operators, one generation at a time, into an exact echelon basis or
 a numeric orthonormal one.  The span test spins {I, generators, inverses} in
 the degree^2-dimensional matrix space; the subspace search spins one kernel
-vector under the generators.
+vector under the generators.  An exact spin runs in Python-int arithmetic:
+its seeds and operators are rational matrices divided by their content, so
+coprime integer arrays, and its echelon basis holds primitive integer rows
+reduced by fraction-free (Bareiss) steps, never a Fraction.
 
 Exact domains are kept exact wherever eigenvalues are rational; everything
 else runs on the complexification with max-norm residual reporting.  Laurent
@@ -39,6 +42,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -277,34 +281,46 @@ class BurnsideReport:
 
 
 class _EchelonBasis:
-    """Growing echelon basis of exact Mats, flattened.  insert() reports new dims."""
+    """Growing echelon basis over the rationals, held as primitive integer
+    rows: each is a flattened object array of Python ints, divided by its
+    gcd, with a positive pivot.  insert() reports new dims.
 
-    def __init__(self, domain: Domain):
-        self.o = ops_for(domain)
-        self.domain = domain
-        self.rows: list[tuple[int, list]] = []  # (pivot index, reduced vector)
+    Reducing by a row is Bareiss's integer-preserving step divided by the
+    gcd, so a reduced vector stays proportional to the one a basis of
+    Fraction rows would reach and every insert decides the same way.
+    """
+
+    def __init__(self):
+        self.rows: list[tuple[int, np.ndarray]] = []  # (pivot index, row)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def insert(self, m: Mat) -> bool:
-        o = self.o
-        vec = list(m.entries)
+    def insert(self, x: np.ndarray) -> bool:
+        # x holds coprime ints, as _scaled leaves them
+        vec = x.ravel()
         for pidx, row in self.rows:
             e = vec[pidx]
-            if not o.is_zero(e):
+            if e:
                 q = row[pidx]
-                vec = [o.sub(o.mul(q, a), o.mul(e, b)) for a, b in zip(vec, row)]
-        pivot = next((i for i, a in enumerate(vec) if not o.is_zero(a)), None)
-        if pivot is None:
+                g = gcd(q, e)
+                vec = (q // g) * vec - (e // g) * row
+                c = np.gcd.reduce(vec)
+                if not c:
+                    return False
+                if c > 1:
+                    vec = vec // c
+        nz = np.flatnonzero(vec)
+        if not nz.size:
             return False
-        vec = list(_canonical_exact_vector(vec, self.domain))
-        self.rows.append((pivot, vec))
+        pivot = int(nz[0])
+        self.rows.append((pivot, -vec if vec[pivot] < 0 else vec))
         return True
 
-    def vectors(self) -> list[list]:
-        return [row for _, row in self.rows]
+    def vectors(self) -> list[list[Fraction]]:
+        """The rows made monic: pivot entry 1, as Fractions."""
+        return [[Fraction(a, row[p]) for a in row] for p, row in self.rows]
 
 
 class _OrthoBasis:
@@ -338,21 +354,29 @@ class _OrthoBasis:
         return [] if self.q is None else list(self.q[:, :self.dim].T)
 
 
-def _scaled(x):
+def _scaled(x: np.ndarray) -> np.ndarray:
     # scaling an element does not change the span; keep entries small
-    if isinstance(x, Mat):
-        c = _content(x.entries, x.domain)
-        return x.scale(1 / c) if c not in (0, 1) else x
+    if x.dtype == object:  # Python ints: divide out their gcd
+        c = np.gcd.reduce(x, axis=None)
+        return x // c if c > 1 else x
     s = float(np.max(np.abs(x)))
     return x * (1.0 / s) if s > 0 else x
+
+
+def _integer_array(m: Mat) -> np.ndarray:
+    """A RATIONAL Mat divided by its content: an object array of coprime
+    Python ints with m's shape.  It spans what m spans."""
+    c = _content(m.entries, Domain.RATIONAL) or 1
+    return np.array([(x / c).numerator for x in m.entries],
+                    dtype=object).reshape(m.rows, m.cols)
 
 
 def _spin(seeds: list, ops: list, basis, limit: int,
           max_generations: int | None = None) -> int:
     """Grow basis to the span of seeds closed under left multiplication by ops.
 
-    Elements are exact Mats for an _EchelonBasis and complex ndarrays for an
-    _OrthoBasis, each scaled before it is inserted.  Runs one generation at a
+    Elements are object arrays of Python ints for an _EchelonBasis and
+    complex arrays for an _OrthoBasis, each scaled before it is inserted.  Runs one generation at a
     time: the next frontier is the products of the current one that enlarged
     the basis.  Stops when the frontier is empty or basis.dim reaches limit,
     checked after each frontier element.  Returns the number of generations;
@@ -384,7 +408,8 @@ def _image_span(gens: list[Mat], degree: int, domain: Domain, tol: float,
         seeds = [m.as_numpy() for m in seeds]
         basis: object = _OrthoBasis(tol)
     else:
-        basis = _EchelonBasis(domain)
+        seeds = [_integer_array(m) for m in seeds]
+        basis = _EchelonBasis()
     generations = _spin(seeds, seeds[1:], basis, degree * degree, max_generations)
     return basis.dim, generations
 
@@ -1044,7 +1069,7 @@ def invariant_subspace_search(rho: Rep, tries: int = 30, seed: int = 0,
         raise ValueError("invariant subspace search runs over a scalar field; specialize first")
     n = rho.degree
     exact_domain = rho.domain is Domain.RATIONAL
-    ops = list(rho.gens) if exact_domain else [g.as_numpy() for g in rho.gens]
+    ops = [_integer_array(g) if exact_domain else g.as_numpy() for g in rho.gens]
     ident = Mat.identity(n, rho.domain)
     for trial in range(tries):
         rng = random.Random(seed * 1_000_003 + trial)
@@ -1053,8 +1078,11 @@ def invariant_subspace_search(rho: Rep, tries: int = 30, seed: int = 0,
             if exact_domain and not exact:
                 continue
             for vec in nullspace(a - ident.scale(c), tol):
-                basis = _EchelonBasis(rho.domain) if exact_domain else _OrthoBasis(tol)
-                _spin([vec if exact_domain else vec.as_numpy()], ops, basis, n)
+                if exact_domain:
+                    basis, start = _EchelonBasis(), _integer_array(vec)
+                else:
+                    basis, start = _OrthoBasis(tol), vec.as_numpy()
+                _spin([start], ops, basis, n)
                 if not 0 < basis.dim < n:
                     continue
                 if exact_domain:
