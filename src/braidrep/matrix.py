@@ -417,11 +417,19 @@ class Mat:
 
     def eval_at(self, u) -> "Mat":
         """Evaluate a LAURENT matrix at t=u: Fraction u gives a RATIONAL
-        matrix, float/complex u a COMPLEX one."""
+        matrix, float/complex u a COMPLEX one.  Each distinct entry is
+        evaluated once."""
         if self.domain is not Domain.LAURENT:
             raise ValueError("eval_at applies to Laurent matrices")
         target = Domain.RATIONAL if isinstance(u, (int, Fraction)) else Domain.COMPLEX
-        return Mat(self.rows, self.cols, target, [x.eval(u) for x in self.entries])
+        values: dict[LaurentPoly, object] = {}
+        out = []
+        for x in self.entries:
+            v = values.get(x)
+            if v is None:
+                v = values[x] = x.eval(u)
+            out.append(v)
+        return Mat(self.rows, self.cols, target, out)
 
     # -- linear algebra (delegates) -----------------------------------------
 

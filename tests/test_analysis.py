@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,100 @@ def test_burnside_direct_sum_not_full():
 def test_burnside_generation_cap():
     with pytest.raises(ClosureDiverged):
         burnside_dimension(specialize(standard_rep(3), 2), max_generations=0)
+
+
+def test_burnside_exact_n10_within_budget():
+    start = time.monotonic()
+    full = burnside_dimension(specialize(standard_rep(10), Fraction(-5, 3)))
+    fixed = burnside_dimension(specialize(standard_rep(10), 1))
+    elapsed = time.monotonic() - start
+    assert full.dimension == 100 and full.full
+    assert (fixed.dimension, fixed.generations) == (82, 9)  # (n-1)^2 + 1
+    assert elapsed < 10.0, "exact spans at n = 10 took %.1fs" % elapsed
+
+
+class _FractionEchelonBasis:
+    # reference: the echelon basis of monic Fraction rows that the integer
+    # rows replaced, fed the same spin elements
+    def __init__(self):
+        self.rows = []
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def insert(self, x):
+        vec = [Fraction(a) for a in x.ravel()]
+        for pidx, row in self.rows:
+            e = vec[pidx]
+            if e:
+                q = row[pidx]
+                vec = [q * a - e * b for a, b in zip(vec, row)]
+        pivot = next((i for i, a in enumerate(vec) if a), None)
+        if pivot is None:
+            return False
+        self.rows.append((pivot, [a / vec[pivot] for a in vec]))
+        return True
+
+    def vectors(self):
+        return [row for _, row in self.rows]
+
+
+def _logged(cls, bases):
+    class Logged(cls):
+        def __init__(self):
+            super().__init__()
+            self.log = []
+            bases.append(self)
+
+        def insert(self, x):
+            self.log.append(super().insert(x))
+            return self.log[-1]
+
+    return Logged
+
+
+def _under_both_bases(monkeypatch, probe):
+    """probe() with the integer echelon basis, then with the Fraction
+    reference: each run's result and the bases it built, in order."""
+    runs = []
+    for cls in (analysis._EchelonBasis, _FractionEchelonBasis):
+        bases = []
+        monkeypatch.setattr(analysis, "_EchelonBasis", _logged(cls, bases))
+        runs.append((probe(), bases))
+    return runs
+
+
+@pytest.mark.parametrize("u", [Fraction(23, 7), Fraction(-5, 3), Fraction(37, 9), 1],
+                         ids=str)
+@pytest.mark.parametrize("family,n", [("standard", n) for n in range(3, 8)]
+                         + [("burau", n) for n in range(3, 7)])
+def test_echelon_basis_matches_fraction_rows(monkeypatch, family, n, u):
+    rho = specialize({"standard": standard_rep, "burau": burau_rep}[family](n), u)
+    (got, [basis]), (ref, [ref_basis]) = _under_both_bases(
+        monkeypatch, lambda: burnside_dimension(rho))
+    assert got == ref  # dimension and generations
+    assert basis.log == ref_basis.log and basis.dim == ref_basis.dim
+    assert basis.vectors() == ref_basis.vectors()
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_invariant_subspace_matches_fraction_rows(monkeypatch, n):
+    rho = specialize(standard_rep(n), 1)
+    (got, _), (ref, _) = _under_both_bases(
+        monkeypatch, lambda: invariant_subspace_search(rho, tries=30, seed=4))
+    assert got.found and got == ref
+    assert got.basis == ref.basis
+
+
+def test_echelon_basis_keeps_python_ints(monkeypatch):
+    # u's numerator is beyond int64, and row entries grow past it
+    rho = specialize(standard_rep(5), Fraction(10**20 + 3, 7**15))
+    (got, bases), (ref, _) = _under_both_bases(monkeypatch, lambda: burnside_dimension(rho))
+    assert (got.dimension, got.generations) == (ref.dimension, ref.generations) == (25, 3)
+    entries = [a for b in bases for _, row in b.rows for a in row]
+    assert all(type(a) is int for a in entries)
+    assert max(abs(a) for a in entries) > 2**63
 
 
 def _complexified_families(n):

@@ -243,6 +243,20 @@ def test_nullspace_ones():
     assert basis[0].col(0) == [Fraction(1), Fraction(-1)]
 
 
+@pytest.mark.parametrize("u", [Fraction(-7, 3), 2.5 + 0.5j], ids=str)
+def test_eval_at_evaluates_each_distinct_entry_once(monkeypatch, u):
+    m = Mat.from_rows([[0, T, 1 - T], [T, 0, 1], [0, LaurentPoly.t(), 1 - T]],
+                      Domain.LAURENT)
+    want = [x.eval(u) for x in m.entries]
+    calls = []
+    evaluate = LaurentPoly.eval
+    monkeypatch.setattr(LaurentPoly, "eval",
+                        lambda self, v: calls.append(self) or evaluate(self, v))
+    got = m.eval_at(u)
+    assert got == Mat(3, 3, got.domain, want)
+    assert sorted(map(str, calls)) == sorted(map(str, set(m.entries)))
+
+
 def test_nullspace_permutation_point():
     # sigma1 of the standard family at t=1, minus the identity
     m = sigma1_standard3().eval_at(Fraction(1)) - Mat.identity(3, Domain.RATIONAL)
