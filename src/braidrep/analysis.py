@@ -285,9 +285,10 @@ class _EchelonBasis:
     rows: each is a flattened object array of Python ints, divided by its
     gcd, with a positive pivot.  insert() reports new dims.
 
-    Reducing by a row is Bareiss's integer-preserving step divided by the
-    gcd, so a reduced vector stays proportional to the one a basis of
-    Fraction rows would reach and every insert decides the same way.
+    Reducing by a row cross-multiplies, as fraction-free (Bareiss)
+    elimination does, then divides out the gcd, so a reduced vector stays
+    proportional to the one a basis of Fraction rows would reach and every
+    insert decides the same way.
     """
 
     def __init__(self):
@@ -376,9 +377,9 @@ def _spin(seeds: list, ops: list, basis, limit: int,
     """Grow basis to the span of seeds closed under left multiplication by ops.
 
     Elements are object arrays of Python ints for an _EchelonBasis and
-    complex arrays for an _OrthoBasis, each scaled before it is inserted.  Runs one generation at a
-    time: the next frontier is the products of the current one that enlarged
-    the basis.  Stops when the frontier is empty or basis.dim reaches limit,
+    complex arrays for an _OrthoBasis, each scaled before it is inserted.
+    Runs one generation at a time: the next frontier is the products of the
+    current one that enlarged the basis.  Stops when the frontier is empty or basis.dim reaches limit,
     checked after each frontier element.  Returns the number of generations;
     ClosureDiverged when more than max_generations would run.
     """
