@@ -308,8 +308,6 @@ class _EchelonBasis:
                 g = gcd(q, e)
                 vec = (q // g) * vec - (e // g) * row
                 c = np.gcd.reduce(vec)
-                if not c:
-                    return False
                 if c > 1:
                     vec = vec // c
         nz = np.flatnonzero(vec)
@@ -367,7 +365,7 @@ def _scaled(x: np.ndarray) -> np.ndarray:
 def _integer_array(m: Mat) -> np.ndarray:
     """A RATIONAL Mat divided by its content: an object array of coprime
     Python ints with m's shape.  It spans what m spans."""
-    c = _content(m.entries, Domain.RATIONAL) or 1
+    c = _content(m.entries, Domain.RATIONAL)
     return np.array([(x / c).numerator for x in m.entries],
                     dtype=object).reshape(m.rows, m.cols)
 
