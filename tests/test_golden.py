@@ -14,14 +14,20 @@ code 1: u = 1 is reducible over the complex numbers and over the rationals,
 u = 1.0005 recovers a degenerate u, and a span closure capped at three
 generations diverges.
 
+Reports too large to keep as files are pinned by the sha256 of their
+stdout instead (PINS): the 0.95 MB Laurent generator dump at n = 40, and
+the relation and corank reports of both families at n = 40.
+
 A deliberate report change is recorded again with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and named in CHANGES.md.
+and named in CHANGES.md; the recording run prints each pin's current
+sha256, to be copied into PINS by hand.
 """
 
 import cmath
+import hashlib
 import json
 import os
 import subprocess
@@ -67,6 +73,20 @@ CASES = {
                              "--u=1.0005+0j", "--y", "1+0j"],
 }
 
+# name -> (argv, sha256 of stdout)
+PINS = {
+    "gen_standard_n40": (["gen", "--family", "standard", "--n", "40"],
+                         "2ac0d9c000428a6a2c8388b6f36e174ff82677ec0fcc315305aa79f299d97bbe"),
+    "relations_standard_n40": (["relations", "--family", "standard", "--n", "40"],
+                               "6aaa6137f2ad85725f3b3ee2223f75a1ce8f34a4f4a6abc19d199bf946650e60"),
+    "relations_burau_n40": (["relations", "--family", "burau", "--n", "40"],
+                            "6aaa6137f2ad85725f3b3ee2223f75a1ce8f34a4f4a6abc19d199bf946650e60"),
+    "corank_standard_n40": (["corank", "--family", "standard", "--n", "40"],
+                            "cb307304695aa70fb0602dbe3a72a0a23b0b1960f200aaf753643fe1dd19ded1"),
+    "corank_burau_n40": (["corank", "--family", "burau", "--n", "40"],
+                         "bcd1036c803cbd110afc4743834637ff2909451479b3f6dff87e8a70aaae1261"),
+}
+
 # hidden-basis inputs: file stem -> (n, y, u, numpy seed), generic (y, u)
 HIDDEN = {
     "hidden_n9": (9, cmath.rect(1.3, 0.7), 2.2 + 0.9j, 9),
@@ -74,8 +94,8 @@ HIDDEN = {
 }
 
 
-def run(name: str) -> tuple[int, str]:
-    argv = [a.replace("{golden}", str(GOLDEN)) for a in CASES[name]]
+def run(argv: list[str]) -> tuple[int, str]:
+    argv = [a.replace("{golden}", str(GOLDEN)) for a in argv]
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **ONE_THREAD)
     proc = subprocess.run([sys.executable, "-m", "braidrep"] + argv, env=env,
@@ -85,10 +105,22 @@ def run(name: str) -> tuple[int, str]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name):
-    code, out = run(name)
+    code, out = run(CASES[name])
     golden = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
     assert code == (0 if json.loads(golden)["ok"] else 1)
     assert out == golden
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_pinned_report(name):
+    argv, digest = PINS[name]
+    code, out = run(argv)
+    assert code == 0
+    assert sha256(out) == digest
 
 
 if __name__ == "__main__":
@@ -100,8 +132,10 @@ if __name__ == "__main__":
         (GOLDEN / (stem + ".rep.json")).write_text(
             json.dumps(rep, sort_keys=True) + "\n", encoding="utf-8")
     for name in sorted(CASES):
-        code, out = run(name)
+        code, out = run(CASES[name])
         if code != (0 if json.loads(out)["ok"] else 1):
             raise SystemExit("%s exited %d" % (name, code))
         (GOLDEN / (name + ".json")).write_text(out, encoding="utf-8")
         print("recorded", name)
+    for name, (argv, _) in sorted(PINS.items()):
+        print("pin", name, sha256(run(argv)[1]))
