@@ -156,24 +156,32 @@ def _reconstruct_rational(value: complex, verify) -> Fraction | None:
     return None
 
 
-def _eig_candidates(g: Mat, cluster_tol: float) -> list[tuple[object, int, bool]]:
-    """Eigenvalues of a rational or complex matrix as (value, mult, exact).
+def _eig_candidates(g: Mat, cluster_tol: float) -> list[tuple[object, int, bool, int | None]]:
+    """Eigenvalues of a rational or complex matrix as (value, mult, exact,
+    rank), rank being the exact rank of g - value*I for an exact value and
+    None otherwise.
 
-    Rational matrices get their rational eigenvalues verified exactly, the
-    rest stay floating.  Ordered by _axis_key.
+    Rational matrices get their rational eigenvalues verified exactly (the
+    shifted matrix is singular), the rest stay floating.  Ordered by
+    _axis_key.
     """
     clusters = eigen_numeric(g, cluster_tol)
     ident = Mat.identity(g.rows, g.domain)
+    ranks = {}
+
+    def singular(f):
+        ranks[f] = rank_exact(g - ident.scale(f))
+        return ranks[f] < g.rows
+
     out = []
     for c, mult in clusters:
         exact_val = None
         if g.domain is Domain.RATIONAL:
-            exact_val = _reconstruct_rational(
-                c, lambda f: (g - ident.scale(f)).det() == 0)
+            exact_val = _reconstruct_rational(c, singular)
         if exact_val is not None:
-            out.append((exact_val, mult, True))
+            out.append((exact_val, mult, True, ranks[exact_val]))
         else:
-            out.append((c, mult, False))
+            out.append((c, mult, False, None))
     out.sort(key=lambda t: _axis_key(complex(t[0])))
     return out
 
@@ -209,12 +217,9 @@ class CorankReport:
 
 
 def _corank_of_matrix(g: Mat, tol: float, cluster_tol: float):
-    ident = Mat.identity(g.rows, g.domain)
     table = []
-    for val, _, exact in _eig_candidates(g, cluster_tol):
-        if exact:
-            r = rank_exact(g - ident.scale(val))
-        else:
+    for val, _, exact, r in _eig_candidates(g, cluster_tol):
+        if not exact:
             gc = g if g.domain is Domain.COMPLEX else g.to_complex()
             r = rank_numeric(gc - Mat.identity(g.rows, Domain.COMPLEX).scale(complex(val)), tol)
         table.append((val, r, exact))
@@ -632,8 +637,8 @@ def subgroup_line_witness(rho: Rep, tol: float = DEFAULT_TOL,
     ys = _eig_candidates(rho.gen(1), cluster_tol)
     xs = _eig_candidates(rho.gen(m - 1), cluster_tol)
     crho = rho if rho.domain is Domain.COMPLEX else None
-    for y0, _, y_exact in ys:
-        for x0, _, x_exact in xs:
+    for y0, _, y_exact, _ in ys:
+        for x0, _, x_exact, _ in xs:
             use_exact = rho.domain is Domain.RATIONAL and y_exact and x_exact
             if use_exact:
                 work = rho
@@ -1073,7 +1078,7 @@ def invariant_subspace_search(rho: Rep, tries: int = 30, seed: int = 0,
     for trial in range(tries):
         rng = random.Random(seed * 1_000_003 + trial)
         a = _random_image_combination(rho, rng)
-        for c, _, exact in _eig_candidates(a, cluster_tol):
+        for c, _, exact, _ in _eig_candidates(a, cluster_tol):
             if exact_domain and not exact:
                 continue
             for vec in nullspace(a - ident.scale(c), tol):

@@ -75,6 +75,10 @@ class LaurentPoly:
         return len(self._c) == 1
 
     @property
+    def is_one(self) -> bool:
+        return len(self._c) == 1 and self._c.get(0) == 1
+
+    @property
     def deg_min(self) -> int | None:
         """Smallest exponent with nonzero coefficient; None for the zero polynomial."""
         return min(self._c) if self._c else None
@@ -278,6 +282,9 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
+        # a constant equals its value (see __eq__), so it hashes like it
+        if self.is_const():
+            return hash(self.const_value())
         return hash(tuple(sorted(self._c.items())))
 
     def __bool__(self) -> bool:

@@ -7,10 +7,27 @@ Domains and how a Mat stores its entries:
   COMPLEX   double-precision complex floats, one read-only row-major
             complex128 ndarray of the matrix's shape
 
+An exact Mat also carries a nonzero index: per row, the ascending column
+indices of its nonzero entries.  It is built once, on first use, from the
+entries, unless the kernel that made the Mat already knew it.  Equality,
+hashing, entry access and JSON read the row-major tuple only.  The exact
+kernels (product, sum, difference, scaling, evaluation, max-norm and the
+eliminations) visit nonzero entries only, which is what keeps the braid
+generators cheap: each is the identity outside one 2x2 block.  A product
+passes a factor equal to the ring's one through without multiplying.
+
+Mat(...) coerces and checks every entry, and is the constructor for any
+outside input.  Mat._trusted skips both, and may only be given entries that
+are already the domain's scalar type (Fraction or LaurentPoly) because a
+domain operation or a ring constant produced them, and a nonzero index that
+is exactly the one those entries give.
+
 Exact-domain eliminations are fraction-free (Bareiss for echelon form and
 determinants, Montante's Gauss-Jordan variant for inverses and nullspaces),
 so every intermediate value stays in the scalar ring and divisions are exact
-by construction.  Floating-domain kernels use numpy; rank decisions use
+by construction.  They hold each row as a {column: value} map of its nonzero
+entries, and take the same pivots and reach the same values as the dense
+recurrences.  Floating-domain kernels use numpy; rank decisions use
 complete-pivot elimination with a relative threshold, and eigenvalues are
 clustered with an explicit ambiguity check rather than silently merged.
 """
@@ -20,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -49,12 +67,14 @@ class Domain(str, Enum):
 class _Ops:
     """Scalar operation table for one domain."""
 
-    __slots__ = ("zero", "one", "is_zero", "add", "sub", "mul", "neg", "div", "mag", "coerce", "eq")
+    __slots__ = ("zero", "one", "is_zero", "is_one", "add", "sub", "mul", "neg", "div", "mag",
+                 "coerce", "eq")
 
-    def __init__(self, zero, one, is_zero, add, sub, mul, neg, div, mag, coerce, eq):
+    def __init__(self, zero, one, is_zero, is_one, add, sub, mul, neg, div, mag, coerce, eq):
         self.zero = zero
         self.one = one
         self.is_zero = is_zero
+        self.is_one = is_one
         self.add = add
         self.sub = sub
         self.mul = mul
@@ -107,6 +127,7 @@ _OPS: dict[Domain, _Ops] = {
         zero=Fraction(0),
         one=Fraction(1),
         is_zero=lambda x: not x,
+        is_one=lambda x: x == 1,
         add=lambda a, b: a + b,
         sub=lambda a, b: a - b,
         mul=lambda a, b: a * b,
@@ -120,6 +141,7 @@ _OPS: dict[Domain, _Ops] = {
         zero=LaurentPoly.zero(),
         one=LaurentPoly.one(),
         is_zero=lambda x: x.is_zero,
+        is_one=lambda x: x.is_one,
         add=lambda a, b: a + b,
         sub=lambda a, b: a - b,
         mul=lambda a, b: a * b,
@@ -133,6 +155,7 @@ _OPS: dict[Domain, _Ops] = {
         zero=complex(0),
         one=complex(1),
         is_zero=lambda x: x == 0,
+        is_one=lambda x: x == 1,
         add=lambda a, b: a + b,
         sub=lambda a, b: a - b,
         mul=lambda a, b: a * b,
@@ -211,6 +234,20 @@ class Mat:
             ent = ent.reshape(self.rows, self.cols)
             ent.flags.writeable = False
         self.entries = ent
+        self._nz = None
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, domain: Domain, entries: Sequence,
+                 nz: tuple | None = None) -> "Mat":
+        """Exact Mat over entries a domain operation produced, without
+        coercion or checks; nz, when given, is their nonzero index."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.domain = domain
+        m.entries = tuple(entries)
+        m._nz = nz
+        return m
 
     # -- constructors ------------------------------------------------------
 
@@ -224,13 +261,20 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int, domain: Domain) -> "Mat":
-        o = _OPS[Domain(domain)]
-        return cls(n, n, domain, [o.one if i == j else o.zero for i in range(n) for j in range(n)])
+        domain = Domain(domain)
+        o = _OPS[domain]
+        ent = [o.one if i == j else o.zero for i in range(n) for j in range(n)]
+        if domain is Domain.COMPLEX:
+            return cls(n, n, domain, ent)
+        return cls._trusted(n, n, domain, ent, tuple((i,) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int, domain: Domain) -> "Mat":
-        z = _OPS[Domain(domain)].zero
-        return cls(rows, cols, domain, [z] * (rows * cols))
+        domain = Domain(domain)
+        ent = [_OPS[domain].zero] * (rows * cols)
+        if domain is Domain.COMPLEX:
+            return cls(rows, cols, domain, ent)
+        return cls._trusted(rows, cols, domain, ent, ((),) * rows)
 
     @classmethod
     def column_vector(cls, values: Sequence, domain: Domain) -> "Mat":
@@ -279,6 +323,20 @@ class Mat:
     def row_lists(self) -> list[list]:
         return [self.row(i) for i in range(self.rows)]
 
+    def _nonzeros(self) -> tuple:
+        """The nonzero index of an exact Mat: per row, the ascending column
+        indices of its nonzero entries."""
+        if self._nz is None:
+            e, c = self.entries, self.cols
+            self._nz = tuple(tuple(compress(range(c), e[i * c:(i + 1) * c]))
+                             for i in range(self.rows))
+        return self._nz
+
+    def _row_maps(self) -> list[dict]:
+        """An exact Mat's rows as new {column: value} maps of their nonzeros."""
+        e, c = self.entries, self.cols
+        return [{j: e[i * c + j] for j in cols} for i, cols in enumerate(self._nonzeros())]
+
     # -- arithmetic -------------------------------------------------------------
 
     def _require_same_shape(self, other: "Mat"):
@@ -289,23 +347,31 @@ class Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
-    def _entrywise(self, f, *others: "Mat") -> "Mat":
-        """f applied entry by entry, or once to the whole arrays for COMPLEX."""
-        args = [self.entries] + [m.entries for m in others]
+    def _entrywise(self, f, other: "Mat") -> "Mat":
+        """f(x, y) entry by entry, or once on the whole arrays for COMPLEX.
+        Exact domains apply f at the other's nonzeros only, so f(x, 0) must
+        be x, as for the sum and the difference."""
+        self._require_same_shape(other)
         if self.domain is Domain.COMPLEX:
-            return Mat.from_numpy(f(*args))
-        return Mat(self.rows, self.cols, self.domain, map(f, *args))
+            return Mat.from_numpy(f(self.entries, other.entries))
+        out = list(self.entries)
+        e, c = other.entries, self.cols
+        for i, cols in enumerate(other._nonzeros()):
+            base = i * c
+            for j in cols:
+                out[base + j] = f(out[base + j], e[base + j])
+        return Mat._trusted(self.rows, self.cols, self.domain, out)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._require_same_shape(other)
         return self._entrywise(_OPS[self.domain].add, other)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._require_same_shape(other)
         return self._entrywise(_OPS[self.domain].sub, other)
 
     def __neg__(self) -> "Mat":
-        return self._entrywise(_OPS[self.domain].neg)
+        if self.domain is Domain.COMPLEX:
+            return Mat.from_numpy(-self.entries)
+        return self.scale(-_OPS[self.domain].one)
 
     def scale(self, s) -> "Mat":
         o = _OPS[self.domain]
@@ -317,7 +383,15 @@ class Mat:
             out = (s.real * a.real - s.imag * a.imag).astype(complex)
             out.imag = s.real * a.imag + s.imag * a.real
             return Mat.from_numpy(out)
-        return Mat(self.rows, self.cols, self.domain, [o.mul(s, a) for a in self.entries])
+        out = [o.zero] * (self.rows * self.cols)
+        e, c = self.entries, self.cols
+        for i, cols in enumerate(self._nonzeros()):
+            base = i * c
+            for j in cols:
+                out[base + j] = s * e[base + j]
+        # a product of nonzeros is nonzero, so the index carries over
+        return Mat._trusted(self.rows, self.cols, self.domain, out,
+                            self._nz if s else None)
 
     def __mul__(self, s) -> "Mat":
         return self.scale(s)
@@ -333,24 +407,57 @@ class Mat:
             raise ValueError("inner dimension mismatch")
         if self.domain is Domain.COMPLEX:
             return Mat.from_numpy(self.as_numpy() @ other.as_numpy())
+        # Gustavson's row-by-row product: row i of the result accumulates
+        # a_ip * (row p of b) over the nonzeros a_ip, terms in ascending p
         o = _OPS[self.domain]
+        zero, one, is_one = o.zero, o.one, o.is_one
         n, k, m = self.rows, self.cols, other.cols
-        out = [o.zero] * (n * m)
         a, b = self.entries, other.entries
-        for i in range(n):
-            arow = i * k
-            for p in range(k):
-                aip = a[arow + p]
-                if o.is_zero(aip):
+        bnz = other._nonzeros()
+        brows: dict[int, list] = {}  # p -> [(j, b_pj, b_pj is one)], built on first use
+        out = []
+        nz = []
+        for i, cols in enumerate(self._nonzeros()):
+            if len(cols) == 1:
+                p = cols[0]
+                x = a[i * k + p]
+                if x is one or is_one(x):
+                    # a row of the identity copies row p of b
+                    out += b[p * m:(p + 1) * m]
+                    nz.append(bnz[p])
                     continue
-                brow = p * m
-                orow = i * m
-                for j in range(m):
-                    bpj = b[brow + j]
-                    if o.is_zero(bpj):
-                        continue
-                    out[orow + j] = o.add(out[orow + j], o.mul(aip, bpj))
-        return Mat(n, m, self.domain, out)
+            row = [zero] * m
+            touched = []
+            summed = False
+            for p in cols:
+                x = a[i * k + p]
+                x_one = x is one or is_one(x)
+                brow = brows.get(p)
+                if brow is None:
+                    brow = brows[p] = [(j, y, y is one or is_one(y))
+                                       for j in bnz[p] for y in (b[p * m + j],)]
+                for j, y, y_one in brow:
+                    t = y if x_one else x if y_one else x * y
+                    cur = row[j]
+                    if cur is zero:
+                        row[j] = t
+                        touched.append(j)
+                    else:
+                        row[j] = cur + t
+                        summed = True
+            touched.sort()
+            if summed:
+                # a sum may have cancelled; such an entry goes back to zero
+                kept = []
+                for j in touched:
+                    if row[j]:
+                        kept.append(j)
+                    else:
+                        row[j] = zero
+                touched = kept
+            nz.append(tuple(touched))
+            out += row
+        return Mat._trusted(n, m, self.domain, out, tuple(nz))
 
     def __pow__(self, k: int) -> "Mat":
         if not self.is_square:
@@ -367,8 +474,10 @@ class Mat:
         return result
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, self.domain,
-                   [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
+        ent = [self.at(i, j) for j in range(self.cols) for i in range(self.rows)]
+        if self.domain is Domain.COMPLEX:
+            return Mat(self.cols, self.rows, self.domain, ent)
+        return Mat._trusted(self.cols, self.rows, self.domain, ent)
 
     def trace(self):
         if not self.is_square:
@@ -389,8 +498,9 @@ class Mat:
         return hash((self.rows, self.cols, self.domain, self._flat()))
 
     def is_zero(self) -> bool:
-        o = _OPS[self.domain]
-        return all(o.is_zero(x) for x in self._flat())
+        if self.domain is Domain.COMPLEX:
+            return not self.entries.any()
+        return not any(self._nonzeros())
 
     def max_norm(self) -> float:
         """Largest entry magnitude (max-norm); the residual scale used everywhere."""
@@ -398,8 +508,9 @@ class Mat:
             # hypot rounds as Python's abs(complex) does; np.abs can differ
             a = self.entries
             return float(np.max(np.hypot(a.real, a.imag), initial=0.0))
-        o = _OPS[self.domain]
-        return max((o.mag(x) for x in self.entries), default=0.0)
+        mag, e, c = _OPS[self.domain].mag, self.entries, self.cols
+        return max((mag(e[i * c + j]) for i, cols in enumerate(self._nonzeros()) for j in cols),
+                   default=0.0)
 
     # -- conversions --------------------------------------------------------
 
@@ -413,7 +524,13 @@ class Mat:
             return self
         if self.domain is Domain.LAURENT:
             raise ValueError("Laurent matrices need an evaluation point first")
-        return Mat(self.rows, self.cols, Domain.COMPLEX, self.entries)
+        out = [0.0] * (self.rows * self.cols)
+        e, c = self.entries, self.cols
+        for i, cols in enumerate(self._nonzeros()):
+            base = i * c
+            for j in cols:
+                out[base + j] = float(e[base + j])
+        return Mat(self.rows, self.cols, Domain.COMPLEX, np.array(out))
 
     def eval_at(self, u) -> "Mat":
         """Evaluate a LAURENT matrix at t=u: Fraction u gives a RATIONAL
@@ -422,14 +539,25 @@ class Mat:
         if self.domain is not Domain.LAURENT:
             raise ValueError("eval_at applies to Laurent matrices")
         target = Domain.RATIONAL if isinstance(u, (int, Fraction)) else Domain.COMPLEX
+        nzs = self._nonzeros()
+        size = self.rows * self.cols
+        zero = _OPS[target].zero
+        if sum(map(len, nzs)) < size:
+            zero = _OPS[Domain.LAURENT].zero.eval(u)
         values: dict[LaurentPoly, object] = {}
-        out = []
-        for x in self.entries:
-            v = values.get(x)
-            if v is None:
-                v = values[x] = x.eval(u)
-            out.append(v)
-        return Mat(self.rows, self.cols, target, out)
+        out = [zero] * size
+        e, c = self.entries, self.cols
+        for i, cols in enumerate(nzs):
+            base = i * c
+            for j in cols:
+                x = e[base + j]
+                v = values.get(x)
+                if v is None:
+                    v = values[x] = x.eval(u)
+                out[base + j] = v
+        if target is Domain.COMPLEX:
+            return Mat(self.rows, self.cols, target, np.array(out, dtype=complex))
+        return Mat._trusted(self.rows, self.cols, target, out)
 
     # -- linear algebra (delegates) -----------------------------------------
 
@@ -438,7 +566,13 @@ class Mat:
             raise ValueError("determinant of a non-square matrix")
         if self.domain is Domain.COMPLEX:
             return complex(np.linalg.det(self.as_numpy()))
-        return _bareiss_det(self.row_lists(), _OPS[self.domain])
+        o = _OPS[self.domain]
+        if self.rows == 0:
+            return o.one
+        pivots, last, sign = _fraction_free(self._row_maps(), self.cols, o, False)
+        if len(pivots) < self.rows:
+            return o.zero
+        return last if sign > 0 else -last
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "Mat":
         if not self.is_square:
@@ -464,6 +598,11 @@ class Mat:
         }
 
 
+def is_json_int(x) -> bool:
+    """True for a JSON integer; JSON true and false load as bool, an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def mat_from_json(d: dict) -> Mat:
     if not isinstance(d, dict):
         raise SchemaError("matrix JSON must be an object")
@@ -475,7 +614,7 @@ def mat_from_json(d: dict) -> Mat:
     except ValueError as exc:
         raise SchemaError("unknown domain %r" % (d["domain"],)) from exc
     rows, cols = d["rows"], d["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    if not is_json_int(rows) or not is_json_int(cols) or rows < 0 or cols < 0:
         raise SchemaError("rows/cols must be nonnegative integers")
     entries = d["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
@@ -488,117 +627,104 @@ def mat_from_json(d: dict) -> Mat:
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_forward(a: list[list], o: _Ops) -> tuple[list[list], list[int], int, object]:
-    """Fraction-free row echelon reduction in place on a copy.
+def _fraction_free(a: list[dict], ncols: int, o: _Ops,
+                   jordan: bool) -> tuple[list[tuple[int, int]], object, int]:
+    """Fraction-free elimination over the first ncols columns of rows held
+    as {column: value} maps of their nonzeros, reduced in place.
 
-    Returns (reduced rows, pivot column list, row-swap sign, last pivot).
-    Entries stay in the scalar ring; every division is exact (Sylvester
-    identity), which is what makes this valid over the Laurent ring.
+    jordan False is Bareiss's echelon reduction: each pivot clears the rows
+    below it, and the rows are left partly reduced.  jordan True is
+    Montante's Gauss-Jordan variant: each pivot clears every other row, and
+    on return every pivot entry equals the final pivot value p, all other
+    entries in pivot columns are zero, and for square nonsingular input the
+    left block is p*I with p = det up to the row-swap sign.
+
+    A step with pivot p clears column c from a row by x -> (p*x - x_c*y)/prev,
+    y the pivot row's entry and prev the previous pivot, and turns every
+    entry x of a row without column c into p*x/prev.  Entries stay in the
+    scalar ring; every division is exact (Sylvester identity), which is what
+    makes this valid over the Laurent ring.  The second rule is applied
+    lazily: a row records the pivot it is current as of, s, and is brought
+    to the eager values (prev*x)/s only when a step reads it, or at the end
+    for jordan True.  Pivots and values are those of the dense recurrence.
+    Returns ([(pivot row, pivot col)], last pivot, row-swap sign).
     """
     m = len(a)
-    n = len(a[0]) if m else 0
-    a = [list(row) for row in a]
-    piv_cols: list[int] = []
-    prev = o.one
-    sign = 1
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        pr = next((i for i in range(r, m) if not o.is_zero(a[i][c])), None)
-        if pr is None:
-            continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-            sign = -sign
-        p = a[r][c]
-        for i in range(r + 1, m):
-            aic = a[i][c]
-            if o.is_zero(aic):
-                for j in range(c + 1, n):
-                    if not o.is_zero(a[i][j]):
-                        a[i][j] = o.div(o.mul(p, a[i][j]), prev)
-            else:
-                for j in range(c + 1, n):
-                    a[i][j] = o.div(o.sub(o.mul(p, a[i][j]), o.mul(aic, a[r][j])), prev)
-            a[i][c] = o.zero
-        prev = p
-        piv_cols.append(c)
-        r += 1
-    return a, piv_cols, sign, prev
-
-
-def _bareiss_det(rows: list[list], o: _Ops):
-    n = len(rows)
-    if n == 0:
-        return o.one
-    _, piv, sign, last = _bareiss_forward(rows, o)
-    if len(piv) < n:
-        return o.zero
-    return last if sign > 0 else o.neg(last)
-
-
-def _montante_reduce(a: list[list], o: _Ops, ncols: int) -> tuple[list[list], list[tuple[int, int]], object, int]:
-    """Fraction-free Gauss-Jordan (Montante) over the first ncols columns.
-
-    After completion every pivot entry equals the final pivot value p, all
-    other entries in pivot columns are zero, and for square nonsingular input
-    the left block is p*I with p = det up to the row-swap sign.
-    Returns (reduced rows, [(pivot row, pivot col)], p, sign).
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    a = [list(row) for row in a]
+    since = [o.one] * m
     pivots: list[tuple[int, int]] = []
     prev = o.one
     sign = 1
+    div = o.div
+
+    def catch_up(i):
+        s = since[i]
+        if s is not prev:
+            row = a[i]
+            for j, x in row.items():
+                row[j] = div(prev * x, s)
+            since[i] = prev
+
     r = 0
     for c in range(ncols):
         if r >= m:
             break
-        pr = next((i for i in range(r, m) if not o.is_zero(a[i][c])), None)
+        pr = next((i for i in range(r, m) if c in a[i]), None)
         if pr is None:
             continue
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
+            since[r], since[pr] = since[pr], since[r]
             sign = -sign
-        p = a[r][c]
-        for i in range(m):
-            if i == r:
+        catch_up(r)
+        prow = a[r]
+        p = prow[c]
+        for i in chain(range(r), range(r + 1, m)) if jordan else range(r + 1, m):
+            if c not in a[i]:
                 continue
-            aic = a[i][c]
-            if o.is_zero(aic):
-                for j in range(n):
-                    if j != c and not o.is_zero(a[i][j]):
-                        a[i][j] = o.div(o.mul(p, a[i][j]), prev)
-            else:
-                for j in range(n):
-                    if j != c:
-                        a[i][j] = o.div(o.sub(o.mul(p, a[i][j]), o.mul(aic, a[r][j])), prev)
-                a[i][c] = o.zero
+            catch_up(i)
+            row = a[i]
+            aic = row.pop(c)
+            new = {}
+            for j, x in row.items():
+                y = prow.get(j)
+                new[j] = p * x if y is None else p * x - aic * y
+            for j, y in prow.items():
+                if j != c and j not in row:
+                    new[j] = -(aic * y)
+            a[i] = {j: div(x, prev) for j, x in new.items() if x}
+            since[i] = p
+        since[r] = p
         prev = p
         pivots.append((r, c))
         r += 1
-    return a, pivots, prev, sign
+    if jordan:
+        for i in range(m):
+            catch_up(i)
+    return pivots, prev, sign
 
 
 def _exact_inverse(m: Mat) -> Mat:
     o = _OPS[m.domain]
     n = m.rows
-    aug = [m.row(i) + [o.one if i == j else o.zero for j in range(n)] for i in range(n)]
-    red, pivots, p, _sign = _montante_reduce(aug, o, n)
+    red = m._row_maps()
+    for i, row in enumerate(red):
+        row[n + i] = o.one
+    pivots, p, _ = _fraction_free(red, n, o, True)
     if len(pivots) < n:
         raise NotInvertible("matrix is singular")
+    p_one = o.is_one(p)
     out = [o.zero] * (n * n)
     for r, c in pivots:
-        for j in range(n):
+        for j, x in red[r].items():
+            if j < n:
+                continue
             try:
-                out[c * n + j] = o.div(red[r][n + j], p)
+                out[c * n + j - n] = x if p_one else o.div(x, p)
             except NotDivisible as exc:
                 raise NotInvertible(
                     "determinant is not a unit in the %s domain" % m.domain.value
                 ) from exc
-    return Mat(n, n, m.domain, out)
+    return Mat._trusted(n, n, m.domain, out)
 
 
 def _content(entries, domain: Domain):
@@ -647,8 +773,7 @@ def rank_exact(m: Mat) -> int:
         raise ValueError("rank_exact needs an exact domain; use rank_numeric")
     if m.rows == 0 or m.cols == 0:
         return 0
-    _, piv, _, _ = _bareiss_forward(m.row_lists(), _OPS[m.domain])
-    return len(piv)
+    return len(_fraction_free(m._row_maps(), m.cols, _OPS[m.domain], False)[0])
 
 
 def nullspace(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
@@ -673,7 +798,8 @@ def nullspace(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
             out.append(Mat(m.cols, 1, Domain.COMPLEX, v / v[k]))
         return out
     o = _OPS[m.domain]
-    red, pivots, p, _ = _montante_reduce(m.row_lists(), o, m.cols)
+    red = m._row_maps()
+    pivots, p, _ = _fraction_free(red, m.cols, o, True)
     piv_cols = {c: r for r, c in pivots}
     basis = []
     for f in range(m.cols):
@@ -682,7 +808,9 @@ def nullspace(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
         vec = [o.zero] * m.cols
         vec[f] = p
         for r, c in pivots:
-            vec[c] = o.neg(red[r][f])
+            x = red[r].get(f)
+            if x is not None:
+                vec[c] = -x
         basis.append(Mat.column_vector(_canonical_exact_vector(vec, m.domain), m.domain))
     return basis
 
@@ -726,10 +854,9 @@ def column_space(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
             return []
         r = int(np.sum(s > tol * smax))
         return [Mat(m.rows, 1, Domain.COMPLEX, u[:, j]) for j in range(r)]
-    o = _OPS[m.domain]
-    _, piv, _, _ = _bareiss_forward(m.row_lists(), o)
+    pivots, _, _ = _fraction_free(m._row_maps(), m.cols, _OPS[m.domain], False)
     out = []
-    for c in piv:
+    for _, c in pivots:
         col = [m.at(i, c) for i in range(m.rows)]
         out.append(Mat.column_vector(_canonical_exact_vector(col, m.domain), m.domain))
     return out

@@ -31,7 +31,15 @@ from .errors import (
     ZeroSubstitution,
 )
 from .laurent import LaurentPoly
-from .matrix import DEFAULT_TOL, Domain, Mat, mat_from_json, relative_residual
+from .matrix import (
+    DEFAULT_TOL,
+    Domain,
+    Mat,
+    is_json_int,
+    mat_from_json,
+    ops_for,
+    relative_residual,
+)
 
 __all__ = [
     "Rep",
@@ -177,8 +185,10 @@ def rep_from_json(d: dict, *, check: bool = True, tol: float = DEFAULT_TOL) -> R
         if key not in d:
             raise SchemaError("representation JSON missing %r" % key)
     strands = d["strands"]
-    if not isinstance(strands, int) or strands < 2:
+    if not is_json_int(strands) or strands < 2:
         raise SchemaError("strands must be an integer >= 2")
+    if not is_json_int(d["degree"]):
+        raise SchemaError("degree must be an integer")
     gens_json = d["generators"]
     if not isinstance(gens_json, list) or len(gens_json) != strands - 1:
         raise SchemaError("need exactly strands-1 generator matrices")
@@ -207,16 +217,16 @@ def rep_from_json(d: dict, *, check: bool = True, tol: float = DEFAULT_TOL) -> R
 def _block_family(n: int, block: list[list[LaurentPoly]], name: str) -> Rep:
     if n < 2:
         raise ValueError("need at least 2 strands")
-    one = LaurentPoly.one()
-    zero = LaurentPoly.zero()
+    # the ring's own constants, which the product recognises by identity
+    ops = ops_for(Domain.LAURENT)
+    one, zero = ops.one, ops.zero
     gens = []
     for i in range(n - 1):
-        ent = [[one if r == c else zero for c in range(n)] for r in range(n)]
-        ent[i][i] = block[0][0]
-        ent[i][i + 1] = block[0][1]
-        ent[i + 1][i] = block[1][0]
-        ent[i + 1][i + 1] = block[1][1]
-        gens.append(Mat.from_rows(ent, Domain.LAURENT))
+        ent = [one if r == c else zero for r in range(n) for c in range(n)]
+        for r in (0, 1):
+            for c in (0, 1):
+                ent[(i + r) * n + i + c] = block[r][c]
+        gens.append(Mat._trusted(n, n, Domain.LAURENT, ent))
     # closed-form matrices satisfy the relations identically; the check is
     # deferred here and exercised by the test suite instead
     return Rep(n, gens, "%s(%d)" % (name, n), check=False)
@@ -282,8 +292,6 @@ def character_twist(rho: Rep, y) -> Rep:
 
     y must be invertible in the representation's domain (nonzero scalar, or a
     unit of the Laurent ring)."""
-    from .matrix import ops_for
-
     o = ops_for(rho.domain)
     y = o.coerce(y)
     if _scalar_is_zero(y, rho.domain):

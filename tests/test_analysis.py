@@ -69,6 +69,22 @@ def test_corank_standard_specialized(n, u):
     assert rep.exact
 
 
+def test_corank_runs_one_elimination_per_exact_candidate(monkeypatch):
+    # u = 4: the eigenvalues 1, 2 and -2 are all rational, and each is
+    # verified and ranked by the same single elimination
+    rho = specialize(standard_rep(9), 4)
+    g = rho.gen(1)
+    calls = []
+    rank = analysis.rank_exact
+    monkeypatch.setattr(analysis, "rank_exact", lambda m: calls.append(m) or rank(m))
+    monkeypatch.setattr(Mat, "det", lambda m: pytest.fail("det is not needed"))
+    rep = corank(rho)
+    assert len(calls) == 3
+    assert sorted(rep.table) == sorted(
+        (v, rank(g - Mat.identity(9, Domain.RATIONAL).scale(v)), True)
+        for v in (Fraction(1), Fraction(2), Fraction(-2)))
+
+
 def test_corank_standard_symbolic():
     rep = corank(standard_rep(5))
     assert rep.corank == 2

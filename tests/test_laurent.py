@@ -173,3 +173,17 @@ def test_content():
     from math import gcd
 
     assert gcd(*(abs(x.numerator) for x in q_coeffs)) == 1
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(-7, 5), 1, 0, -4])
+def test_constant_hashes_like_its_value(value):
+    p = LaurentPoly.const(value)
+    assert p == value
+    assert hash(p) == hash(value)
+    assert {value: "v"}[p] == "v"
+    assert len({p, value}) == 1
+
+
+def test_one_and_zero_hash_like_their_integers():
+    assert hash(LaurentPoly.one()) == hash(1)
+    assert hash(LaurentPoly.zero()) == hash(0)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidrep.errors import ClusterAmbiguous, NotInvertible, SchemaError
 from braidrep.laurent import LaurentPoly
@@ -18,6 +20,7 @@ from braidrep.matrix import (
     mat_from_json,
     minpoly,
     nullspace,
+    ops_for,
     poly_divide_linear,
     poly_divmod_monic,
     poly_eval_matrix,
@@ -528,3 +531,150 @@ def test_mat_json_rejects_malformed():
             mat_from_json(bad)
     with pytest.raises(SchemaError):
         mat_from_json({"rows": 1, "cols": 1, "domain": "complex"})
+
+
+@pytest.mark.parametrize("rows, cols", [(True, True), (True, 1), (1, True), (False, 0)])
+def test_mat_json_rejects_booleans_as_sizes(rows, cols):
+    # JSON true and false load as bool, which Python counts as an int
+    with pytest.raises(SchemaError):
+        mat_from_json({"rows": rows, "cols": cols, "domain": "rational",
+                       "entries": ["2"] * (rows * cols)})
+
+
+# -- row-sparse exact kernels against dense references --------------------------
+
+
+def _random_entry(rng, domain):
+    c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    if domain is Domain.RATIONAL:
+        return c
+    return LaurentPoly({rng.randint(-2, 2): c, rng.randint(-2, 2): rng.randint(-1, 1)})
+
+
+@st.composite
+def sparse_mats(draw, domain, rows=None, cols=None, max_dim=4):
+    """An exact matrix of random density, some rows and columns all zero."""
+    r = draw(st.integers(0, max_dim)) if rows is None else rows
+    c = draw(st.integers(0, max_dim)) if cols is None else cols
+    density = draw(st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    zero_rows = {i for i in range(r) if rng.random() < 0.2}
+    zero_cols = {j for j in range(c) if rng.random() < 0.2}
+    zero = ops_for(domain).zero
+    return Mat(r, c, domain, [
+        _random_entry(rng, domain)
+        if i not in zero_rows and j not in zero_cols and rng.random() < density else zero
+        for i in range(r) for j in range(c)])
+
+
+EXACT = st.sampled_from([Domain.RATIONAL, Domain.LAURENT])
+
+
+def dense_product(a: Mat, b: Mat) -> Mat:
+    zero = ops_for(a.domain).zero
+    return Mat(a.rows, b.cols, a.domain,
+               [sum((a.at(i, p) * b.at(p, j) for p in range(a.cols)), zero)
+                for i in range(a.rows) for j in range(b.cols)])
+
+
+def recomputed_index(m: Mat) -> tuple:
+    return Mat(m.rows, m.cols, m.domain, m.entries)._nonzeros()
+
+
+def test_product_index_ascends_when_columns_fill_out_of_order():
+    # row 0 of the product is first touched at column 1, then at column 0
+    a = Mat.from_rows([[1, 1]], Domain.RATIONAL)
+    b = Mat.from_rows([[0, 1], [1, 0]], Domain.RATIONAL)
+    assert (a @ b)._nz == ((0, 1),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), EXACT)
+def test_sparse_product_sum_and_scale_match_dense_loops(data, domain):
+    n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = data.draw(sparse_mats(domain, n, k))
+    b = data.draw(sparse_mats(domain, k, m))
+    prod = a @ b
+    assert prod == dense_product(a, b)
+    assert prod._nz == recomputed_index(prod)
+    c = data.draw(sparse_mats(domain, n, k))
+    assert (a + c).entries == tuple(x + y for x, y in zip(a.entries, c.entries))
+    assert (a - c).entries == tuple(x - y for x, y in zip(a.entries, c.entries))
+    assert (-a).entries == tuple(-x for x in a.entries)
+    s = data.draw(st.sampled_from([0, 1, -1, Fraction(-5, 3)]))
+    scaled = a.scale(s)
+    assert scaled.entries == tuple(ops_for(domain).coerce(s) * x for x in a.entries)
+    assert scaled._nonzeros() == recomputed_index(scaled)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_mats(Domain.LAURENT),
+       st.sampled_from([Fraction(1), Fraction(-7, 3), Fraction(2), 2.5 + 0.5j, -1.0 + 0j]))
+def test_sparse_eval_at_matches_entrywise_evaluation(m, u):
+    got = m.eval_at(u)
+    assert got == Mat(m.rows, m.cols, got.domain, [x.eval(u) for x in m.entries])
+    if got.domain is Domain.RATIONAL:
+        assert got._nonzeros() == recomputed_index(got)
+
+
+def _to_sympy(m: Mat):
+    import sympy
+
+    t = sympy.Symbol("t")
+
+    def conv(x):
+        if isinstance(x, LaurentPoly):
+            return sum((sympy.Rational(c.numerator, c.denominator) * t**e for e, c in x.items()),
+                       sympy.Integer(0))
+        return sympy.Rational(x.numerator, x.denominator)
+
+    # t^2 clears every negative power the strategy draws, and keeps the rank
+    lift = t**2 if m.domain is Domain.LAURENT else 1
+    return sympy.Matrix(m.rows, m.cols, [conv(x) * lift for x in m.entries]).applyfunc(
+        sympy.expand), lift
+
+
+def _is_zero_sympy(x) -> bool:
+    import sympy
+
+    return sympy.expand(x) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), EXACT)
+def test_sparse_eliminations_match_sympy(data, domain):
+    import sympy
+
+    shape = data.draw(st.sampled_from(["square", "wide", "tall", "low-rank"]))
+    n = data.draw(st.integers(0, 4))
+    if shape == "low-rank":
+        m = dense_product(data.draw(sparse_mats(domain, n, 1)),
+                          data.draw(sparse_mats(domain, 1, n)))
+        m = m + dense_product(data.draw(sparse_mats(domain, n, 1)),
+                              data.draw(sparse_mats(domain, 1, n)))
+    else:
+        extra = {"square": 0, "wide": 1, "tall": -1}[shape]
+        cols = max(n + extra, 0)
+        m = data.draw(sparse_mats(domain, n, cols))
+    sym, lift = _to_sympy(m)
+    ref_rank = sym.rank(iszerofunc=_is_zero_sympy)
+    assert rank_exact(m) == ref_rank
+    kernel = nullspace(m)
+    assert len(kernel) == m.cols - ref_rank
+    for v in kernel:
+        assert dense_product(m, v).is_zero()
+    if kernel:
+        assert rank_exact(Mat.from_columns(kernel)) == len(kernel)
+    if not m.is_square:
+        return
+    eye = Mat.identity(m.rows, domain)
+    ref_det = sympy.expand(sym.det(method="berkowitz") / lift**m.rows) if m.rows else 1
+    assert _is_zero_sympy(_to_sympy(Mat(1, 1, domain, [m.det()]))[0][0, 0] / lift - ref_det)
+    invertible = ref_det != 0 and (domain is Domain.RATIONAL or m.det().is_unit)
+    if invertible:
+        inv = m.inverse()
+        assert dense_product(m, inv) == eye
+        assert dense_product(inv, m) == eye
+    else:
+        with pytest.raises(NotInvertible):
+            m.inverse()

@@ -236,6 +236,15 @@ def test_rep_json_validation():
         rep_from_json(missing)
 
 
+def test_rep_json_rejects_booleans_as_sizes():
+    # JSON true loads as Python True, which is the int 1
+    good = character_rep(3, Fraction(2)).to_json_dict()
+    assert rep_from_json(good).degree == 1
+    for key in ("degree", "strands"):
+        with pytest.raises(SchemaError):
+            rep_from_json({**good, key: True})
+
+
 def test_rep_json_checks_relations():
     rho = specialize(standard_rep(3), 2)
     d = rho.to_json_dict()
