@@ -283,9 +283,12 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         # a constant equals its value (see __eq__), so it hashes like it
-        if self.is_const():
-            return hash(self.const_value())
-        return hash(tuple(sorted(self._c.items())))
+        c = self._c
+        if not c:
+            return hash(0)
+        if len(c) == 1 and 0 in c:
+            return hash(c[0])
+        return hash(tuple(sorted(c.items())))
 
     def __bool__(self) -> bool:
         return bool(self._c)

@@ -261,20 +261,13 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int, domain: Domain) -> "Mat":
-        domain = Domain(domain)
-        o = _OPS[domain]
-        ent = [o.one if i == j else o.zero for i in range(n) for j in range(n)]
-        if domain is Domain.COMPLEX:
-            return cls(n, n, domain, ent)
-        return cls._trusted(n, n, domain, ent, tuple((i,) for i in range(n)))
+        o = _OPS[Domain(domain)]
+        return cls(n, n, domain, [o.one if i == j else o.zero for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int, domain: Domain) -> "Mat":
-        domain = Domain(domain)
-        ent = [_OPS[domain].zero] * (rows * cols)
-        if domain is Domain.COMPLEX:
-            return cls(rows, cols, domain, ent)
-        return cls._trusted(rows, cols, domain, ent, ((),) * rows)
+        z = _OPS[Domain(domain)].zero
+        return cls(rows, cols, domain, [z] * (rows * cols))
 
     @classmethod
     def column_vector(cls, values: Sequence, domain: Domain) -> "Mat":
@@ -499,7 +492,7 @@ class Mat:
 
     def is_zero(self) -> bool:
         if self.domain is Domain.COMPLEX:
-            return not self.entries.any()
+            return all(x == 0 for x in self._flat())
         return not any(self._nonzeros())
 
     def max_norm(self) -> float:
