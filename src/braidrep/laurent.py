@@ -76,6 +76,7 @@ class LaurentPoly:
 
     @property
     def is_one(self) -> bool:
+        """True iff the polynomial is the constant 1."""
         return len(self._c) == 1 and self._c.get(0) == 1
 
     @property
