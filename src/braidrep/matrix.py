@@ -534,9 +534,8 @@ class Mat:
         target = Domain.RATIONAL if isinstance(u, (int, Fraction)) else Domain.COMPLEX
         nzs = self._nonzeros()
         size = self.rows * self.cols
-        zero = _OPS[target].zero
-        if sum(map(len, nzs)) < size:
-            zero = _OPS[Domain.LAURENT].zero.eval(u)
+        # the zero polynomial, when present, is one more distinct entry
+        zero = _OPS[Domain.LAURENT].zero.eval(u) if sum(map(len, nzs)) < size else None
         values: dict[LaurentPoly, object] = {}
         out = [zero] * size
         e, c = self.entries, self.cols

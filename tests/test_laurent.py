@@ -175,15 +175,15 @@ def test_content():
     assert gcd(*(abs(x.numerator) for x in q_coeffs)) == 1
 
 
-@pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(-7, 5), 1, 0, -4])
-def test_constant_hashes_like_its_value(value):
-    p = LaurentPoly.const(value)
-    assert p == value
-    assert hash(p) == hash(value)
-    assert {value: "v"}[p] == "v"
-    assert len({p, value}) == 1
-
-
-def test_one_and_zero_hash_like_their_integers():
-    assert hash(LaurentPoly.one()) == hash(1)
-    assert hash(LaurentPoly.zero()) == hash(0)
+@pytest.mark.parametrize("poly, value", [
+    (LaurentPoly.const(Fraction(3, 2)), Fraction(3, 2)),
+    (LaurentPoly.const(Fraction(-7, 5)), Fraction(-7, 5)),
+    (LaurentPoly.const(-4), -4),
+    (LaurentPoly.one(), 1),
+    (LaurentPoly.zero(), 0),
+], ids=str)
+def test_constant_hashes_like_its_value(poly, value):
+    assert poly == value
+    assert hash(poly) == hash(value)
+    assert {value: "v"}[poly] == "v"
+    assert len({poly, value}) == 1

@@ -617,27 +617,24 @@ def test_sparse_eval_at_matches_entrywise_evaluation(m, u):
         assert got._nonzeros() == recomputed_index(got)
 
 
-def _to_sympy(m: Mat):
+def _sympy_entry(x):
     import sympy
 
-    t = sympy.Symbol("t")
-
-    def conv(x):
-        if isinstance(x, LaurentPoly):
-            return sum((sympy.Rational(c.numerator, c.denominator) * t**e for e, c in x.items()),
-                       sympy.Integer(0))
-        return sympy.Rational(x.numerator, x.denominator)
-
-    # t^2 clears every negative power the strategy draws, and keeps the rank
-    lift = t**2 if m.domain is Domain.LAURENT else 1
-    return sympy.Matrix(m.rows, m.cols, [conv(x) * lift for x in m.entries]).applyfunc(
-        sympy.expand), lift
+    if isinstance(x, LaurentPoly):
+        return sum((sympy.Rational(c.numerator, c.denominator) * sympy.Symbol("t")**e
+                    for e, c in x.items()), sympy.Integer(0))
+    return sympy.Rational(x.numerator, x.denominator)
 
 
-def _is_zero_sympy(x) -> bool:
+def _sympy_rank(m: Mat) -> int:
+    """Rank over the fraction field.  For LAURENT the entries are multiplied
+    by t^2, which clears every negative power the strategy draws and keeps
+    the rank."""
     import sympy
 
-    return sympy.expand(x) == 0
+    lift = sympy.Symbol("t")**2 if m.domain is Domain.LAURENT else 1
+    sym = sympy.Matrix(m.rows, m.cols, [sympy.expand(_sympy_entry(x) * lift) for x in m.entries])
+    return sym.rank(iszerofunc=lambda x: sympy.expand(x) == 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -656,20 +653,20 @@ def test_sparse_eliminations_match_sympy(data, domain):
         extra = {"square": 0, "wide": 1, "tall": -1}[shape]
         cols = max(n + extra, 0)
         m = data.draw(sparse_mats(domain, n, cols))
-    sym, lift = _to_sympy(m)
-    ref_rank = sym.rank(iszerofunc=_is_zero_sympy)
+    ref_rank = _sympy_rank(m)
     assert rank_exact(m) == ref_rank
     kernel = nullspace(m)
     assert len(kernel) == m.cols - ref_rank
     for v in kernel:
         assert dense_product(m, v).is_zero()
     if kernel:
-        assert rank_exact(Mat.from_columns(kernel)) == len(kernel)
+        assert _sympy_rank(Mat.from_columns(kernel)) == len(kernel)
     if not m.is_square:
         return
     eye = Mat.identity(m.rows, domain)
-    ref_det = sympy.expand(sym.det(method="berkowitz") / lift**m.rows) if m.rows else 1
-    assert _is_zero_sympy(_to_sympy(Mat(1, 1, domain, [m.det()]))[0][0, 0] / lift - ref_det)
+    entries = [_sympy_entry(x) for x in m.entries]
+    ref_det = sympy.expand(sympy.Matrix(m.rows, m.cols, entries).det(method="berkowitz"))
+    assert sympy.expand(_sympy_entry(m.det()) - ref_det) == 0
     invertible = ref_det != 0 and (domain is Domain.RATIONAL or m.det().is_unit)
     if invertible:
         inv = m.inverse()
