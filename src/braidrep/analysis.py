@@ -958,7 +958,8 @@ def jordan_projection(m: Mat, lam, tol: float = DEFAULT_TOL,
         scale = max(m.max_norm(), 1.0)
         centers = [c for c, _ in eigen_numeric(m, cluster_tol)]
         near = min(centers, key=lambda c: abs(c - lam_c), default=None)
-        if near is None or abs(near - lam_c) > cluster_tol * scale:
+        # written so that a NaN lam fails the comparison and is refused
+        if near is None or not abs(near - lam_c) <= cluster_tol * scale:
             raise NotEigenvalue("%s is not an eigenvalue of the matrix" % lam_c)
         mp = minpoly(m, tol, cluster_tol)
         q, _ = poly_divide_linear(mp, near, Domain.COMPLEX)

@@ -10,17 +10,17 @@ The pipeline here makes that effective:
                         u = -(lam_plus * lam_minus) / y^2 with no branch
                         ambiguity.  Needs n >= 5.
   certify_equivalence   produce a checkable verdict for a pair of
-                        representations: compare spectra generator by
-                        generator, then solve for an intertwiner; a
-                        one-dimensional intertwiner space with an invertible,
-                        low-residual matrix certifies equivalence.  The
-                        intertwiner comes from an n-dimensional graph spin
-                        when that certifies, else from the Kronecker system.
+                        representations: compare the spectra of rho(s1),
+                        then solve for an intertwiner; a one-dimensional
+                        intertwiner space with an invertible, low-residual
+                        matrix certifies equivalence.  The intertwiner comes
+                        from an n-dimensional graph spin when that
+                        certifies, else from the Kronecker system.
   classify              relations -> irreducibility -> parameter recovery ->
-                        certified comparison against the rebuilt model.
-                        Irreducibility is certified by Norton's test, with
-                        the span closure as the fallback that decides every
-                        outcome other than EQUIVALENT.  Raises NotIrreducible
+                        certified comparison against the rebuilt model, in
+                        one pass.  Norton's test certifies irreducibility;
+                        the span closure runs when it declines or when the
+                        certificate is not EQUIVALENT.  Raises NotIrreducible
                         when the span test fails; flags THEOREM-CONTRADICTION
                         in the report if an irreducible input with n >= 9
                         refuses to match (no such input should exist).
@@ -250,15 +250,17 @@ def certify_equivalence(rho_a: Rep, rho_b: Rep, tol: float = DEFAULT_TOL,
                         cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EquivalenceCert:
     """Decide whether two representations are conjugate, with evidence.
 
-    Three stages: per-generator spectra must agree as multisets (cheap
+    Three stages: the spectra of rho(s1) must agree as multisets (cheap
     obstruction), the joint intertwiner equation A_i X = X B_i must have a
     one-dimensional solution space, and the solution must be invertible with
-    a small conjugation residual.  A zero intertwiner space refutes
-    equivalence outright; two or more dimensions mean the pair is reducible
-    and the certificate stays INCONCLUSIVE.  The intertwiner comes from an
-    n-dimensional graph spin when that certifies EQUIVALENT, and otherwise
-    from the stacked Kronecker system, which gives every other verdict.
-    Runs on the complexification.
+    a small conjugation residual on every generator.  Under the braid
+    relations each rho(s_i) is conjugate to rho(s1), as s_{i+1} =
+    (s_i s_{i+1}) s_i (s_i s_{i+1})^-1, so s1 is the only spectrum compared.
+    A zero intertwiner space refutes equivalence outright; two or more
+    dimensions mean the pair is reducible and the certificate stays
+    INCONCLUSIVE.  The intertwiner comes from an n-dimensional graph spin
+    when that certifies EQUIVALENT, and otherwise from the stacked Kronecker
+    system, which gives every other verdict.  Runs on the complexification.
     """
     if rho_a.strands != rho_b.strands:
         raise ValueError("cannot compare representations of different strand counts")
@@ -270,20 +272,16 @@ def certify_equivalence(rho_a: Rep, rho_b: Rep, tol: float = DEFAULT_TOL,
     b = rho_b if rho_b.domain is Domain.COMPLEX else rho_b.to_complex()
     scale = max(max(g.max_norm() for g in a.gens),
                 max(g.max_norm() for g in b.gens), 1.0)
-    match_tol = cluster_tol * scale
-    for i in range(1, a.strands):
-        ca = eigen_numeric(a.gen(i), cluster_tol)
-        cb = eigen_numeric(b.gen(i), cluster_tol)
-        worst = _spectrum_gap(ca, cb)
-        if worst > match_tol:
-            return EquivalenceCert(
-                "NOT_EQUIVALENT",
-                "generator s%d: spectra differ by %.3g (%s vs %s)"
-                % (i, worst, _format_spectrum(ca), _format_spectrum(cb)),
-                None, None, None, None)
-        if i == 1:
-            s1_spectra = (ca, cb)
-    cert = _graph_intertwiner(a, b, *s1_spectra, tol)
+    ca = eigen_numeric(a.gen(1), cluster_tol)
+    cb = eigen_numeric(b.gen(1), cluster_tol)
+    worst = _spectrum_gap(ca, cb)
+    if worst > cluster_tol * scale:
+        return EquivalenceCert(
+            "NOT_EQUIVALENT",
+            "generator s1: spectra differ by %.3g (%s vs %s)"
+            % (worst, _format_spectrum(ca), _format_spectrum(cb)),
+            None, None, None, None)
+    cert = _graph_intertwiner(a, b, ca, cb, tol)
     if cert is not None:
         return cert
     basis = intertwiner_space(list(a.gens), list(b.gens), tol)
@@ -335,24 +333,27 @@ class ClassificationReport:
         }
 
 
-def _match_model(rho: Rep, tol: float,
-                 cluster_tol: float) -> tuple[RecoveredParams, EquivalenceCert]:
-    params = recover_parameters(rho, tol, cluster_tol)
-    model = character_twist(specialize(standard_rep(rho.strands), params.u), params.y)
-    return params, certify_equivalence(rho, model, tol, cluster_tol)
+def _span_closure(rho: Rep, tol: float) -> BurnsideReport:
+    burnside = burnside_dimension(rho, tol)
+    if not burnside.full:
+        raise NotIrreducible(
+            "image span has dimension %d of %d; the representation is reducible"
+            % (burnside.dimension, rho.degree ** 2))
+    return burnside
 
 
 def classify(rho: Rep, tol: float = DEFAULT_TOL,
              cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ClassificationReport:
     """Match an irreducible degree-n representation of n strands to the family.
 
-    Pipeline: verify the defining relations, certify irreducibility by
-    Norton's test, recover (y, u) from the spectrum, rebuild the twisted
-    model and certify equivalence.  Unless that ends EQUIVALENT, the pipeline
-    runs again with irreducibility certified by span dimension
-    (NotIrreducible otherwise), and that run decides the outcome.  For n >= 9 a
-    NOT_EQUIVALENT verdict on an irreducible input contradicts the
-    classification this package implements, so the report says so loudly.
+    One pass: verify the defining relations, certify irreducibility by
+    Norton's test or else by span dimension (NotIrreducible when not full),
+    recover (y, u) from the spectrum, rebuild the twisted model and certify
+    equivalence.  Only an EQUIVALENT certificate backs Norton's test, so
+    after any other verdict the span closure decides irreducibility; the
+    certificate does not depend on it.  For n >= 9 a NOT_EQUIVALENT verdict
+    on an irreducible input contradicts the classification this package
+    implements, so the report says so loudly.
     """
     if rho.degree != rho.strands:
         raise ValueError("classification applies when degree equals strands")
@@ -364,21 +365,13 @@ def classify(rho: Rep, tol: float = DEFAULT_TOL,
             "input does not satisfy the braid relations (max residual %.3g)"
             % relations.max_residual)
     burnside = _norton(rho, tol, cluster_tol)
-    cert = None
-    if burnside is not None:
-        # Norton's test alone decides nothing: an EQUIVALENT certificate
-        # against the irreducible model is what proves irreducibility
-        try:
-            params, cert = _match_model(rho, tol, cluster_tol)
-        except (BraidRepError, ValueError):
-            pass
-    if cert is None or cert.verdict != "EQUIVALENT":
-        burnside = burnside_dimension(rho, tol)
-        if not burnside.full:
-            raise NotIrreducible(
-                "image span has dimension %d of %d; the representation is reducible"
-                % (burnside.dimension, rho.degree ** 2))
-        params, cert = _match_model(rho, tol, cluster_tol)
+    if burnside is None:
+        burnside = _span_closure(rho, tol)
+    params = recover_parameters(rho, tol, cluster_tol)
+    model = character_twist(specialize(standard_rep(rho.strands), params.u), params.y)
+    cert = certify_equivalence(rho, model, tol, cluster_tol)
+    if cert.verdict != "EQUIVALENT" and burnside.method == "norton":
+        burnside = _span_closure(rho, tol)
     contradiction = rho.strands >= 9 and cert.verdict == "NOT_EQUIVALENT"
     notes = ""
     if contradiction:
@@ -542,6 +535,7 @@ def audit_theorem(strands: int = 9, trials: int = 100, seed: int = 0,
     if strands < 5:
         raise ValueError("the audit needs at least 5 strands to recover parameters")
     work = [(strands, seed, t, tol, cluster_tol) for t in range(trials)]
+    jobs = min(jobs, trials)  # a fork-started pool starts every worker at once
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_audit_trial, work))

@@ -15,12 +15,14 @@ error name UsageError, with command null when no subcommand was read.
 Reports are strict JSON: a non-finite number is written as null.
 
 The base tolerance can be set through the BRAIDREP_TOL environment variable;
-an explicit --tol flag wins over the environment.
+an explicit --tol flag wins over the environment.  Every tolerance must be
+finite and positive, and every scalar finite.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -66,17 +68,20 @@ def parse_scalar(text: str):
 
     "3/4", "2" and "1.5" become exact rationals; anything with a j, like
     "2j" or "1.5+0.5j", becomes a complex float.  Use a "+0j" suffix to force
-    floating point.
+    floating point.  inf and nan are refused.
     """
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError:
         raise ValueError("cannot parse scalar %r; write 3/4, 1.5 or 1.5+0.5j"
                          % text) from None
+    if not cmath.isfinite(z):
+        raise ValueError("scalar %r is not finite" % text)
+    return z
 
 
 def _load_rep_file(path: str, tol: float):
@@ -334,24 +339,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tol(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("%s must be finite and positive, got %r" % (name, value))
+    return value
+
+
 def _resolve_tol(args) -> float:
     if args.tol is not None:
-        return args.tol
+        return _check_tol("--tol", args.tol)
     raw = os.environ.get("BRAIDREP_TOL")
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise ValueError("BRAIDREP_TOL=%r is not a number" % raw) from None
+    return _check_tol("BRAIDREP_TOL", tol)
 
 
-def _validate_flags(args, tol: float) -> None:
+def _validate_flags(args) -> None:
     """Reject out-of-range numeric flags before any work is dispatched."""
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    if not args.cluster_tol > 0.0:
-        raise ValueError("--cluster-tol must be positive")
+    for flag in ("cluster_tol", "param_tol", "residual_tol"):
+        if hasattr(args, flag):
+            _check_tol("--" + flag.replace("_", "-"), getattr(args, flag))
     strands = getattr(args, "strands", None)
     if strands is not None and strands < 2:
         raise ValueError("the braid group needs at least 2 strands")
@@ -395,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         env["command"], out_path = args.command, args.out
         tol = _resolve_tol(args)
         env["tol"] = tol
-        _validate_flags(args, tol)
+        _validate_flags(args)
         payload = args.handler(args, tol, args.cluster_tol)
     except SystemExit as exc:  # --help printed its text
         return 0 if exc.code in (0, None) else 2

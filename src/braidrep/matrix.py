@@ -34,6 +34,8 @@ clustered with an explicit ambiguity check rather than silently merged.
 
 from __future__ import annotations
 
+import cmath
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -67,22 +69,16 @@ class Domain(str, Enum):
 class _Ops:
     """Scalar operation table for one domain."""
 
-    __slots__ = ("zero", "one", "is_zero", "is_one", "add", "sub", "mul", "neg", "div", "mag",
-                 "coerce", "eq")
+    __slots__ = ("zero", "one", "is_zero", "is_one", "div", "mag", "coerce")
 
-    def __init__(self, zero, one, is_zero, is_one, add, sub, mul, neg, div, mag, coerce, eq):
+    def __init__(self, zero, one, is_zero, is_one, div, mag, coerce):
         self.zero = zero
         self.one = one
         self.is_zero = is_zero
         self.is_one = is_one
-        self.add = add
-        self.sub = sub
-        self.mul = mul
-        self.neg = neg
         self.div = div
         self.mag = mag
         self.coerce = coerce
-        self.eq = eq
 
 
 def _coerce_rational(x) -> Fraction:
@@ -128,52 +124,36 @@ _OPS: dict[Domain, _Ops] = {
         one=Fraction(1),
         is_zero=lambda x: not x,
         is_one=lambda x: x == 1,
-        add=lambda a, b: a + b,
-        sub=lambda a, b: a - b,
-        mul=lambda a, b: a * b,
-        neg=lambda a: -a,
         div=_div_rational,
         mag=lambda x: abs(float(x)),
         coerce=_coerce_rational,
-        eq=lambda a, b: a == b,
     ),
     Domain.LAURENT: _Ops(
         zero=LaurentPoly.zero(),
         one=LaurentPoly.one(),
         is_zero=lambda x: x.is_zero,
         is_one=lambda x: x.is_one,
-        add=lambda a, b: a + b,
-        sub=lambda a, b: a - b,
-        mul=lambda a, b: a * b,
-        neg=lambda a: -a,
         div=lambda a, b: a.divide_exact(b),
         mag=lambda x: x.magnitude(),
         coerce=_coerce_laurent,
-        eq=lambda a, b: a == b,
     ),
     Domain.COMPLEX: _Ops(
         zero=complex(0),
         one=complex(1),
         is_zero=lambda x: x == 0,
         is_one=lambda x: x == 1,
-        add=lambda a, b: a + b,
-        sub=lambda a, b: a - b,
-        mul=lambda a, b: a * b,
-        neg=lambda a: -a,
         div=_div_complex,
         mag=abs,
         coerce=_coerce_complex,
-        eq=lambda a, b: a == b,
     ),
 }
 
 
 def ops_for(domain: Domain) -> _Ops:
-    return _OPS[Domain(domain)]
+    return _OPS[domain]
 
 
 def entry_to_json(x, domain: Domain):
-    domain = Domain(domain)
     if domain is Domain.RATIONAL:
         return str(x)
     if domain is Domain.LAURENT:
@@ -182,7 +162,6 @@ def entry_to_json(x, domain: Domain):
 
 
 def entry_from_json(v, domain: Domain):
-    domain = Domain(domain)
     try:
         if domain is Domain.RATIONAL:
             if isinstance(v, str):
@@ -197,10 +176,14 @@ def entry_from_json(v, domain: Domain):
                 return LaurentPoly.const(v)
             raise TypeError("laurent entries must be strings or integers")
         if isinstance(v, (list, tuple)) and len(v) == 2:
-            return complex(float(v[0]), float(v[1]))
-        if isinstance(v, (int, float)):
-            return complex(v)
-        raise TypeError("complex entries must be [re, im] pairs")
+            z = complex(float(v[0]), float(v[1]))
+        elif isinstance(v, (int, float)):
+            z = complex(v)
+        else:
+            raise TypeError("complex entries must be [re, im] pairs")
+        if not cmath.isfinite(z):
+            raise ValueError("complex entries must be finite")
+        return z
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SchemaError("bad %s entry %r: %s" % (domain.value, v, exc)) from exc
 
@@ -356,10 +339,10 @@ class Mat:
         return Mat._trusted(self.rows, self.cols, self.domain, out)
 
     def __add__(self, other: "Mat") -> "Mat":
-        return self._entrywise(_OPS[self.domain].add, other)
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self._entrywise(_OPS[self.domain].sub, other)
+        return self._entrywise(operator.sub, other)
 
     def __neg__(self) -> "Mat":
         if self.domain is Domain.COMPLEX:
@@ -475,10 +458,9 @@ class Mat:
     def trace(self):
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        o = _OPS[self.domain]
-        tot = o.zero
+        tot = _OPS[self.domain].zero
         for i in range(self.rows):
-            tot = o.add(tot, self.at(i, i))
+            tot = tot + self.at(i, i)
         return tot
 
     def __eq__(self, other) -> bool:
@@ -1026,18 +1008,10 @@ def charpoly(m: Mat) -> list:
     for k in range(1, n + 1):
         an = m @ nmat
         tr = an.trace()
-        ck = _scalar_div_int(o.neg(tr), k, m.domain)
+        ck = -tr * Fraction(1, k)
         coeffs_desc.append(ck)
         nmat = an + eye.scale(ck)
     return list(reversed(coeffs_desc))
-
-
-def _scalar_div_int(x, k: int, domain: Domain):
-    if domain is Domain.RATIONAL:
-        return x / k
-    if domain is Domain.LAURENT:
-        return x * Fraction(1, k)
-    return x / k
 
 
 def minpoly(m: Mat, tol: float = DEFAULT_TOL,
@@ -1076,8 +1050,8 @@ def minpoly(m: Mat, tol: float = DEFAULT_TOL,
             if o.is_zero(w):
                 continue
             pv = prow[pidx]
-            work = [o.sub(o.mul(pv, a), o.mul(w, b)) for a, b in zip(work, prow)]
-            combo = [o.sub(o.mul(pv, a), o.mul(w, b))
+            work = [pv * a - w * b for a, b in zip(work, prow)]
+            combo = [pv * a - w * b
                      for a, b in zip(combo, pcombo + [o.zero] * (len(combo) - len(pcombo)))]
         lead = next((i for i, x in enumerate(work) if not o.is_zero(x)), None)
         if lead is None:
@@ -1112,7 +1086,7 @@ def _poly_mul(a: list, b: list, o: _Ops) -> list:
         if o.is_zero(ai):
             continue
         for j, bj in enumerate(b):
-            out[i + j] = o.add(out[i + j], o.mul(ai, bj))
+            out[i + j] = out[i + j] + ai * bj
     return out
 
 
@@ -1134,7 +1108,7 @@ def poly_eval_scalar(coeffs: list, x, domain: Domain):
     x = o.coerce(x)
     acc = o.zero
     for c in reversed(coeffs):
-        acc = o.add(o.mul(acc, x), o.coerce(c))
+        acc = acc * x + o.coerce(c)
     return acc
 
 
@@ -1145,16 +1119,16 @@ def poly_divide_linear(coeffs: list, lam, domain: Domain) -> tuple[list, object]
     q = [o.zero] * (len(coeffs) - 1)
     carry = o.zero
     for i in range(len(coeffs) - 1, 0, -1):
-        carry = o.add(coeffs[i], o.mul(carry, lam))
+        carry = coeffs[i] + carry * lam
         q[i - 1] = carry
-    rem = o.add(coeffs[0], o.mul(carry, lam))
+    rem = coeffs[0] + carry * lam
     return q, rem
 
 
 def poly_divmod_monic(f: list, g: list, domain: Domain) -> tuple[list, list]:
     """Divide f by a monic g over the domain (no scalar division needed)."""
     o = _OPS[domain]
-    if not g or not o.eq(g[-1], o.one):
+    if not g or g[-1] != o.one:
         raise ValueError("divisor must be monic")
     f = list(f)
     dg = len(g) - 1
@@ -1167,7 +1141,7 @@ def poly_divmod_monic(f: list, g: list, domain: Domain) -> tuple[list, list]:
             continue
         q[i - dg] = c
         for j in range(dg + 1):
-            f[i - dg + j] = o.sub(f[i - dg + j], o.mul(c, g[j]))
+            f[i - dg + j] = f[i - dg + j] - c * g[j]
     rem = f[:dg] if dg else [o.zero]
     return q, rem
 
@@ -1212,11 +1186,11 @@ def intertwiner_space(a_mats: Sequence[Mat], b_mats: Sequence[Mat],
                     for k in range(r):
                         apk = A.at(p, k)
                         if not o.is_zero(apk):
-                            row[k * s + q] = o.add(row[k * s + q], apk)
+                            row[k * s + q] = row[k * s + q] + apk
                     for l in range(s):
                         blq = B.at(l, q)
                         if not o.is_zero(blq):
-                            row[p * s + l] = o.sub(row[p * s + l], blq)
+                            row[p * s + l] = row[p * s + l] - blq
                     rows.append(row)
         system = Mat.from_rows(rows, dom)
     return [Mat(r, s, dom, v.entries) for v in nullspace(system, tol)]

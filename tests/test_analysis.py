@@ -612,6 +612,15 @@ def test_jordan_projection_not_eigenvalue():
         jordan_projection(m.to_complex(), 7.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, complex(math.nan, 0), complex(0, math.nan)])
+def test_jordan_projection_nan_is_not_eigenvalue(lam):
+    # abs(near - nan) > thr is False, so a test written that way let NaN
+    # through and returned the projection for the nearest cluster
+    m = specialize(standard_rep(5), 2 + 0j).gen(1)
+    with pytest.raises(NotEigenvalue):
+        jordan_projection(m, lam)
+
+
 def test_invariance_check_numeric():
     ones = Mat.column_vector([1.0 + 0j] * 4, Domain.COMPLEX)
     e1 = Mat.column_vector([1.0 + 0j, 0, 0, 0], Domain.COMPLEX)

@@ -294,17 +294,75 @@ def test_classify_usage_errors():
 
 
 def test_classify_contradiction_flag(monkeypatch):
+    requests = []
+
     def fake_cert(a, b, tol=1e-9, cluster_tol=1e-6):
+        requests.append((a, b))
         return classify_mod.EquivalenceCert(
             "NOT_EQUIVALENT", "forced by the test", None, 0, None, None)
 
     monkeypatch.setattr(classify_mod, "certify_equivalence", fake_cert)
     report = classify_mod.classify(hidden_model(9, 2.0, 3.0, seed=1))
-    # Norton's test certifies, but a verdict other than EQUIVALENT reruns
-    # the pipeline on the span closure, which then decides
+    # Norton's test certifies, but a verdict other than EQUIVALENT hands
+    # irreducibility to the span closure; the certificate is not asked again
+    assert len(requests) == 1
     assert report.burnside.method == "span"
     assert report.contradiction
     assert "THEOREM-CONTRADICTION" in report.notes
+
+
+# -- one pass: each stage runs once --------------------------------------------
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap the named classification globals; returns name -> call count."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _fn=getattr(classify_mod, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(classify_mod, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_certify_compares_the_s1_spectra_only(monkeypatch, n):
+    y, u = 1.2 + 0.3j, 2.5 - 0.8j
+    model = character_twist(specialize(standard_rep(n), u), y)
+    counts = count_calls(monkeypatch, "eigen_numeric")
+    assert certify_equivalence(hidden_model(n, y, u, seed=n), model).verdict == "EQUIVALENT"
+    assert counts["eigen_numeric"] == 2
+
+
+def test_classify_hidden_n12_runs_each_stage_once(monkeypatch):
+    data = json.loads((GOLDEN / "hidden_n12.rep.json").read_text(encoding="utf-8"))
+    rho = rep_from_json(data)
+    counts = count_calls(monkeypatch, "recover_parameters", "certify_equivalence",
+                         "burnside_dimension")
+    assert classify(rho).classified
+    assert counts == {"recover_parameters": 1, "certify_equivalence": 1,
+                      "burnside_dimension": 0}
+
+
+def test_classify_degenerate_u_skips_the_closure(monkeypatch):
+    # Norton's test certifies this input, so recovery's DegenerateU is
+    # reported without running the span closure first
+    rho = character_twist(specialize(standard_rep(9), 1.0005 + 0j), 1 + 0j)
+    counts = count_calls(monkeypatch, "burnside_dimension")
+    with pytest.raises(DegenerateU):
+        classify(rho)
+    assert counts["burnside_dimension"] == 0
+
+
+def test_certify_never_equivalent_when_only_s2_spectra_differ():
+    # equal s1 spectra, s2 spectra {2, 3} against {2, 5}: the relations do
+    # not hold, and the residual check on every generator refuses the pair
+    d23 = Mat.from_rows([[2.0 + 0j, 0], [0, 3.0 + 0j]], Domain.COMPLEX)
+    d25 = Mat.from_rows([[2.0 + 0j, 0], [0, 5.0 + 0j]], Domain.COMPLEX)
+    a = Rep(3, [d23, d23], check=False)
+    b = Rep(3, [d23, d25], check=False)
+    assert certify_equivalence(a, b).verdict != "EQUIVALENT"
+    assert certify_equivalence(b, a).verdict != "EQUIVALENT"
 
 
 def test_audit_theorem_small_run():
@@ -325,6 +383,29 @@ def test_audit_theorem_deterministic_and_parallel():
     assert a.rows == b.rows
     c = audit_theorem(strands=9, trials=4, seed=11, jobs=1)
     assert a.rows == c.rows
+
+
+def test_audit_theorem_asks_for_no_more_workers_than_trials(monkeypatch):
+    sizes = []
+
+    class RecordingPool:  # runs the trials in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(classify_mod, "ProcessPoolExecutor", RecordingPool)
+    serial = audit_theorem(strands=5, trials=2, seed=4)
+    assert audit_theorem(strands=5, trials=2, seed=4, jobs=64).rows == serial.rows
+    assert audit_theorem(strands=5, trials=1, seed=4, jobs=64).rows == serial.rows[:1]
+    assert sizes == [2]
 
 
 def test_audit_theorem_other_strand_counts():

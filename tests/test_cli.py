@@ -44,6 +44,10 @@ def test_parse_scalar_exact_and_complex():
         parse_scalar("nope")
     with pytest.raises(ValueError):
         parse_scalar("1/0")
+    assert parse_scalar("1e400") == 10 ** 400  # exact, so finite
+    for text in ("inf", "-inf", "nan", "1e400+0j", "1e400j", "nan+1j"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
 
 
 # -- gen and round trip -----------------------------------------------------
@@ -301,6 +305,61 @@ def test_numeric_flag_validation(capsys, schema):
     assert code == 2
     code, doc, _ = run_cli(capsys, "audit", "--n", "9", "--trials", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "standard", "--n", "3", "--u", "inf"],
+    ["gen", "--family", "standard", "--n", "3", "--u", "nan"],
+    ["classify", "--family", "standard", "--n", "9", "--u", "2+0j", "--y", "inf"],
+    ["jordan", "--family", "standard", "--n", "5", "--u", "2+0j", "--eigenvalue", "nan"],
+    ["relations", "--family", "standard", "--n", "3", "--cluster-tol", "inf"],
+    ["audit", "--n", "5", "--trials", "1", "--param-tol", "nan"],
+    ["audit", "--n", "5", "--trials", "1", "--residual-tol", "inf"],
+])
+def test_non_finite_flags_are_usage_errors(capsys, schema, argv):
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 2
+    check(schema, doc)
+    assert doc["ok"] is False and doc["error"]["name"] == "ValueError"
+
+
+def _broken_rep_file(tmp_path):
+    # diag(1, 2) and diag(2, 1): s1 s2 s1 and s2 s1 s2 differ
+    gens = [{"rows": 2, "cols": 2, "domain": "rational", "entries": e}
+            for e in (["1", "0", "0", "2"], ["2", "0", "0", "1"])]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"strands": 3, "degree": 2, "domain": "rational",
+                                "label": "", "generators": gens}))
+    return path
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_cannot_pass_broken_relations(capsys, monkeypatch, tmp_path,
+                                                     schema, tol):
+    path = _broken_rep_file(tmp_path)
+    code, doc, _ = run_cli(capsys, "relations", "--rep", str(path))
+    assert code == 1 and doc["error"]["name"] == "RelationFailure"
+    code, doc, _ = run_cli(capsys, "relations", "--rep", str(path), "--tol", tol)
+    assert code == 2 and doc["ok"] is False
+    check(schema, doc)
+    monkeypatch.setenv("BRAIDREP_TOL", tol)
+    code, doc, _ = run_cli(capsys, "relations", "--rep", str(path))
+    assert code == 2 and doc["ok"] is False
+    check(schema, doc)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_rep_file_with_non_finite_entry_is_schema_error(capsys, tmp_path, schema, text):
+    one, zero = "[1.0, 0.0]", "[0.0, 0.0]"
+    entries = "[%s, %s, %s, [%s, 0.0]]" % (one, zero, zero, text)
+    path = tmp_path / "nonfinite.json"
+    path.write_text('{"strands": 2, "degree": 2, "domain": "complex", "label": "",'
+                    ' "generators": [{"rows": 2, "cols": 2, "domain": "complex",'
+                    ' "entries": %s}]}' % entries)
+    code, doc, _ = run_cli(capsys, "relations", "--rep", str(path))
+    assert code == 2
+    check(schema, doc)
+    assert doc["error"]["name"] == "SchemaError"
 
 
 # -- exit codes and determinism ---------------------------------------------
