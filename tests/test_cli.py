@@ -316,7 +316,7 @@ def test_numeric_flag_validation(capsys, schema):
     ["audit", "--n", "5", "--trials", "1", "--param-tol", "nan"],
     ["audit", "--n", "5", "--trials", "1", "--residual-tol", "inf"],
 ])
-def test_non_finite_flags_are_usage_errors(capsys, schema, argv):
+def test_non_finite_values_are_refused(capsys, schema, argv):
     code, doc, _ = run_cli(capsys, *argv)
     assert code == 2
     check(schema, doc)
