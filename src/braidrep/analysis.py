@@ -6,7 +6,8 @@ The functions here answer questions about a single representation:
                          the fingerprint that separates the main families
   burnside_dimension     dimension of the linear span of the image; equals
                          degree^2 exactly when the representation is
-                         irreducible (and stays smaller when it is not)
+                         absolutely irreducible (and stays smaller when it
+                         is not)
   common_eigenvector     a vector every generator scales, if one exists
   subgroup_line_witness  an eigenvector pattern pinned by two boundary
                          generators, with the middle one left free
@@ -20,15 +21,24 @@ The functions here answer questions about a single representation:
   subgroup_invariance_check  whether chosen generators map a subspace into itself
   invariant_subspace_search  randomized search for a proper invariant subspace
 
-burnside_dimension and invariant_subspace_search run on one spin kernel,
-_spin: it closes the span of some seed elements under left multiplication by
-a list of operators, one generation at a time, into an exact echelon basis or
-a numeric orthonormal one.  The span test spins {I, generators, inverses} in
-the degree^2-dimensional matrix space; the subspace search spins one kernel
-vector under the generators.  An exact spin runs in Python-int arithmetic:
-its seeds and operators are rational matrices divided by their content, so
+burnside_dimension, Norton's test (_norton) and invariant_subspace_search
+run on one spin kernel, _spin: it closes the span of some seed elements under
+left multiplication by a list of operators, one generation at a time, into an
+exact echelon basis or a numeric orthonormal one.  The span test spins
+{I, generators, inverses} in the degree^2-dimensional matrix space; Norton's
+test spins one kernel vector under the generators and one under the dual
+action, in dimension degree; the subspace search spins one kernel vector
+under the generators.  An exact spin runs in Python-int arithmetic: its
+seeds and operators are rational matrices divided by their content, so
 coprime integer arrays, and its echelon basis holds primitive integer rows
 reduced by fraction-free (Bareiss) steps, never a Fraction.
+
+Norton's test certifies irreducibility, and so a full span by Burnside's
+theorem, or declines; it never reports a reducible module.  Over the
+rationals it is exact (Holt and Rees, 1994) and the irreducible command runs
+it before the span closure; classify runs it on the complexification.  The
+span closure stays the measure of the span dimension and decides every input
+the test declines.
 
 Exact domains are kept exact wherever eigenvalues are rational; everything
 else runs on the complexification with max-norm residual reporting.  Laurent
@@ -42,7 +52,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -65,13 +75,16 @@ from .matrix import (
     _canonical_exact_vector,
     _content,
     _np_nullspace,
+    charpoly,
     column_space,
     eigen_numeric,
     minpoly,
     nullspace,
     ops_for,
     poly_divide_linear,
+    poly_divmod_monic,
     poly_eval_matrix,
+    poly_eval_scalar,
     rank_exact,
     rank_numeric,
     relative_residual,
@@ -117,6 +130,10 @@ def _sample_points() -> list[Fraction]:
             continue
         pts.append(u)
     return pts
+
+
+def _generic_note(pts: list[Fraction]) -> str:
+    return "generic value; specializations at t=%s agree" % ", ".join(map(str, pts))
 
 
 def scalar_to_json(x):
@@ -247,10 +264,8 @@ def corank(rho: Rep, tol: float = DEFAULT_TOL,
             detail = ", ".join("t=%s: %d" % (u, best[1]) for u, (best, _) in results)
             raise GenericDisagreement("corank differs across specializations (%s)" % detail)
         _, (best, table) = results[0]
-        notes = "generic value; specializations at t=%s agree" % (
-            ", ".join(str(u) for u in pts))
         return CorankReport(rho.degree, rho.domain, best[1], best[0], best[2],
-                            table, notes)
+                            table, _generic_note(pts))
     best, table = _corank_of_matrix(g, tol, cluster_tol)
     return CorankReport(rho.degree, rho.domain, best[1], best[0], best[2], table)
 
@@ -291,9 +306,9 @@ class _EchelonBasis:
     gcd, with a positive pivot.  insert() reports new dims.
 
     Reducing by a row cross-multiplies, as fraction-free (Bareiss)
-    elimination does, then divides out the gcd, so a reduced vector stays
-    proportional to the one a basis of Fraction rows would reach and every
-    insert decides the same way.
+    elimination does, so a reduced vector stays proportional to the one a
+    basis of Fraction rows would reach and every insert decides the same
+    way.  A vector that is kept is divided by its gcd once, at the end.
     """
 
     def __init__(self):
@@ -304,7 +319,8 @@ class _EchelonBasis:
         return len(self.rows)
 
     def insert(self, x: np.ndarray) -> bool:
-        # x holds coprime ints, as _scaled leaves them
+        # x holds Python ints; coprime ones, as _scaled leaves them, keep
+        # the cross-multiplied entries small
         vec = x.ravel()
         for pidx, row in self.rows:
             e = vec[pidx]
@@ -312,14 +328,14 @@ class _EchelonBasis:
                 q = row[pidx]
                 g = gcd(q, e)
                 vec = (q // g) * vec - (e // g) * row
-                c = np.gcd.reduce(vec)
-                if c > 1:
-                    vec = vec // c
         nz = np.flatnonzero(vec)
         if not nz.size:
             return False
         pivot = int(nz[0])
-        self.rows.append((pivot, -vec if vec[pivot] < 0 else vec))
+        c = np.gcd.reduce(vec)
+        if vec[pivot] < 0:
+            c = -c
+        self.rows.append((pivot, vec // c if c != 1 else vec))
         return True
 
     def vectors(self) -> list[list[Fraction]]:
@@ -370,9 +386,13 @@ def _scaled(x: np.ndarray) -> np.ndarray:
 def _integer_array(m: Mat) -> np.ndarray:
     """A RATIONAL Mat divided by its content: an object array of coprime
     Python ints with m's shape.  It spans what m spans."""
-    c = _content(m.entries, Domain.RATIONAL)
-    return np.array([(x / c).numerator for x in m.entries],
-                    dtype=object).reshape(m.rows, m.cols)
+    e, k = m.entries, m.cols
+    at = [i * k + j for i, cols in enumerate(m._nonzeros()) for j in cols]
+    c = _content([e[t] for t in at], Domain.RATIONAL)
+    out = np.zeros(len(e), dtype=object)  # Python int zeros
+    for t in at:
+        out[t] = (e[t] / c).numerator
+    return out.reshape(m.rows, m.cols)
 
 
 def _spin(seeds: list, ops: list, basis, limit: int,
@@ -440,17 +460,43 @@ def burnside_dimension(rho: Rep, tol: float = DEFAULT_TOL,
             raise GenericDisagreement(
                 "span dimension differs across specializations (%s)"
                 % ", ".join("t=%s: %d" % (u, d) for u, d in zip(pts, dims)))
-        notes = "generic value; specializations at t=%s agree" % (
-            ", ".join(str(u) for u in pts))
-        return BurnsideReport(rho.degree, rho.domain, dims[0], gens_max, notes)
+        return BurnsideReport(rho.degree, rho.domain, dims[0], gens_max,
+                              _generic_note(pts))
     dim, generations = _image_span(list(rho.gens), rho.degree, rho.domain,
                                    tol, max_generations)
     return BurnsideReport(rho.degree, rho.domain, dim, generations)
 
 
 def _norton(rho: Rep, tol: float = DEFAULT_TOL,
-            cluster_tol: float = DEFAULT_CLUSTER_TOL) -> BurnsideReport | None:
-    """Norton's irreducibility test on the complexification, or None.
+            cluster_tol: float = DEFAULT_CLUSTER_TOL,
+            max_generations: int | None = None) -> BurnsideReport | None:
+    """Norton's irreducibility test, or None.
+
+    A COMPLEX rep runs the numeric test, a RATIONAL one the exact test
+    (_exact_norton), and a LAURENT one the exact test at the three fixed
+    sample points, all of which must certify.  Returns the full report,
+    with the spins' largest generation count, or None whenever the test does
+    not certify: it never reports a reducible module.
+    """
+    n = rho.degree
+    if rho.domain is Domain.COMPLEX:
+        return _complex_norton(rho, tol, cluster_tol)
+    if rho.domain is Domain.RATIONAL:
+        generations = _exact_norton(list(rho.gens), max_generations)
+        if generations is None:
+            return None
+        return BurnsideReport(n, rho.domain, n * n, generations, method="norton")
+    pts = _sample_points()
+    runs = []
+    for u in pts:
+        runs.append(_exact_norton([m.eval_at(u) for m in rho.gens], max_generations))
+        if runs[-1] is None:
+            return None
+    return BurnsideReport(n, rho.domain, n * n, max(runs), _generic_note(pts), "norton")
+
+
+def _complex_norton(rho: Rep, tol: float, cluster_tol: float) -> BurnsideReport | None:
+    """Norton's test on a COMPLEX rep.
 
     Take theta = rho(s1) - lam*I for the first simple eigenvalue lam whose
     kernel v and transposed kernel w both have nullity 1.  The module is
@@ -459,18 +505,15 @@ def _norton(rho: Rep, tol: float = DEFAULT_TOL,
     n^2 matrices (Burnside).  The dual action is the inverse transposes:
     they generate the same algebra as the transposes, so w spins to the
     same subspace, but the spin does not shrink by a factor u per step as
-    it does under the transposes of the block family.  Returns the full
-    report, or None whenever the test does not certify: it never reports a
-    reducible module.
+    it does under the transposes of the block family.
     """
     n = rho.degree
-    crho = rho.to_complex()
     try:
-        clusters = eigen_numeric(crho.gen(1), cluster_tol)
-        duals = [crho.gen_inverse(i).as_numpy().T for i in range(1, crho.strands)]
+        clusters = eigen_numeric(rho.gen(1), cluster_tol)
+        duals = [rho.gen_inverse(i).as_numpy().T for i in range(1, rho.strands)]
     except (ClusterAmbiguous, NotInvertible):
         return None
-    gens = [g.as_numpy() for g in crho.gens]
+    gens = [g.as_numpy() for g in rho.gens]
     for lam, mult in clusters:
         if mult != 1:
             continue
@@ -488,6 +531,141 @@ def _norton(rho: Rep, tol: float = DEFAULT_TOL,
         return BurnsideReport(n, Domain.COMPLEX, n * n, max(generations),
                               method="norton")
     return None
+
+
+# -- polynomials over Q, ascending Fraction coefficients ---------------------
+
+
+def _monic(p: list) -> list:
+    """p without its zero leading coefficients, divided by the leading one;
+    [] for the zero polynomial."""
+    while p and not p[-1]:
+        p = p[:-1]
+    return [c / p[-1] for c in p]
+
+
+def _poly_gcd(f: list, g: list) -> list:
+    f, g = _monic(f), _monic(g)
+    while g:
+        f, g = g, _monic(poly_divmod_monic(f, g, Domain.RATIONAL)[1])
+    return f
+
+
+def _simple_part(f: list) -> list:
+    """The product of the monic irreducible factors of multiplicity one in
+    the monic f, by the first step of Yun's square-free decomposition:
+    with g = gcd(f, f'), b = f/g and c = f'/g, it is gcd(b, c - b')."""
+    def derivative(p):
+        return [k * c for k, c in enumerate(p)][1:]
+    g = _poly_gcd(f, derivative(f))
+    b = poly_divmod_monic(f, g, Domain.RATIONAL)[0]
+    c = poly_divmod_monic(derivative(f), g, Domain.RATIONAL)[0]
+    return _poly_gcd(b, [x - y for x, y in zip(c, derivative(b))])
+
+
+def _rational_root(p: list) -> Fraction | None:
+    """The largest rational root found of the monic p, or None.  Exact up to
+    degree 2; above it, the numeric roots of p read as small-denominator
+    rationals, each verified exactly, so a root may be missed but never
+    made up."""
+    if len(p) == 2:
+        return -p[0]
+    if len(p) == 3:
+        disc = p[1] * p[1] - 4 * p[0]
+        a, b = isqrt(max(disc.numerator, 0)), isqrt(disc.denominator)
+        if a * a != disc.numerator or b * b != disc.denominator:
+            return None
+        return (Fraction(a, b) - p[1]) / 2
+    try:
+        zs = np.roots([float(c) for c in reversed(p)])
+    except OverflowError:
+        return None
+    def is_root(c):
+        return not poly_eval_scalar(p, c, Domain.RATIONAL)
+    found = [_reconstruct_rational(complex(z), is_root) for z in zs]
+    return max((r for r in found if r is not None), default=None)
+
+
+class _PairBasis(_EchelonBasis):
+    """Echelon basis of the first columns of n x 2 integer pairs [x, y],
+    keeping every pair whose first column it accepts."""
+
+    def __init__(self):
+        super().__init__()
+        self.pairs: list[np.ndarray] = []
+
+    def insert(self, x: np.ndarray) -> bool:
+        if not super().insert(x[:, 0]):
+            return False
+        self.pairs.append(x)
+        return True
+
+
+def _exact_norton(gens: list[Mat], max_generations: int | None) -> int | None:
+    """Norton's test over Q (Holt and Rees, "Testing modules for
+    irreducibility", 1994, section 2), on the RATIONAL generator images:
+    the spins' largest generation count when it certifies that the module
+    is absolutely irreducible, else None.
+
+    Let p be the part of multiplicity one of the characteristic polynomial
+    of a = rho(s1), found without factoring, and q an irreducible factor of
+    p: x - lam for a rational root lam, or else p itself when it is a
+    quadratic.  theta = q(a) has nullity deg q, and ker theta is a line over
+    the field Q[x]/(q).  The module is irreducible over Q when one kernel
+    vector v of theta spins to Q^n under the generators and one kernel
+    vector w of theta^T spins to Q^n under their transposes: a proper
+    submodule either meets ker theta, and then contains it, v included, or
+    misses it, and then its annihilator contains ker theta^T, w included.
+
+    For deg q = 1 the kernel stays one-dimensional over C, so the module is
+    absolutely irreducible.  For deg q = 2 the endomorphism ring E has
+    dimension 1 or 2, since phi -> phi(v) embeds it in ker theta, and it
+    has dimension 2 exactly when v -> a v extends to an endomorphism.  So v
+    is spun paired with a v, and the test certifies only when the pairs do
+    not span the graph of a map that commutes with the generators.
+
+    Declines on any other p, a short spin, or a spin past max_generations.
+    """
+    a = gens[0]
+    n = a.rows
+    p = _simple_part(charpoly(a))
+    lam = _rational_root(p)
+    pair = lam is None and len(p) == 3
+    if lam is not None:
+        theta = a - Mat.identity(n, Domain.RATIONAL).scale(lam)
+    elif pair:
+        theta = poly_eval_matrix(p, a)
+    else:
+        return None
+    kernel = nullspace(theta)
+    dual_kernel = nullspace(theta.transpose())
+    if len(kernel) != (2 if pair else 1):  # theta^T has the same nullity
+        return None
+    ops = [_integer_array(g) for g in gens]
+    v = kernel[0]
+    seed = Mat.from_columns([v, a @ v]) if pair else v
+    spins = ((_integer_array(seed), ops, _PairBasis() if pair else _EchelonBasis()),
+             (_integer_array(dual_kernel[0]), [g.T for g in ops], _EchelonBasis()))
+    generations = []
+    for start, spin_ops, basis in spins:
+        try:
+            generations.append(_spin([start], spin_ops, basis, n, max_generations))
+        except ClosureDiverged:
+            return None
+        if basis.dim < n:
+            return None
+    if pair and _commutes(spins[0][2].pairs, ops):
+        return None
+    return max(generations)
+
+
+def _commutes(pairs: list[np.ndarray], ops: list[np.ndarray]) -> bool:
+    """Whether the span of the pairs [x_k, y_k], whose x_k are a basis, is
+    invariant under the ops acting on both columns: that is, whether the map
+    x_k -> y_k commutes with every op."""
+    graph = _EchelonBasis()
+    _spin(pairs, ops, graph, len(pairs) + 1)
+    return graph.dim == len(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -364,7 +364,7 @@ def classify(rho: Rep, tol: float = DEFAULT_TOL,
         raise RelationFailure(
             "input does not satisfy the braid relations (max residual %.3g)"
             % relations.max_residual)
-    burnside = _norton(rho, tol, cluster_tol)
+    burnside = _norton(rho.to_complex(), tol, cluster_tol)
     if burnside is None:
         burnside = _span_closure(rho, tol)
     params = recover_parameters(rho, tol, cluster_tol)

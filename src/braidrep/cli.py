@@ -30,6 +30,7 @@ import sys
 from fractions import Fraction
 
 from .analysis import (
+    _norton,
     burnside_dimension,
     corank,
     jordan_projection,
@@ -137,7 +138,13 @@ def _cmd_corank(args, tol, cluster_tol):
 
 def _cmd_irreducible(args, tol, cluster_tol):
     rho = _build_rep(args, tol)
-    report = burnside_dimension(rho, tol, args.max_generations)
+    # the exact Norton test certifies irreducible input in dimension n; the
+    # span closure decides whatever it declines
+    report = None
+    if rho.domain is not Domain.COMPLEX:
+        report = _norton(rho, max_generations=args.max_generations)
+    if report is None:
+        report = burnside_dimension(rho, tol, args.max_generations)
     return {"burnside": report.to_json_dict(), "irreducible": report.full}
 
 
@@ -385,7 +392,11 @@ def _strict(x):
 
 
 def _emit(env: dict, out_path: str | None) -> None:
-    text = json.dumps(_strict(env), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(env, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float: rebuild the report without it
+        text = json.dumps(_strict(env), sort_keys=True, indent=2, allow_nan=False)
+    text += "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

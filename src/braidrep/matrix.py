@@ -332,11 +332,20 @@ class Mat:
             return Mat.from_numpy(f(self.entries, other.entries))
         out = list(self.entries)
         e, c = other.entries, self.cols
-        for i, cols in enumerate(other._nonzeros()):
+        nz = []
+        for i, (mine, cols) in enumerate(zip(self._nonzeros(), other._nonzeros())):
+            if not cols:
+                nz.append(mine)
+                continue
             base = i * c
             for j in cols:
                 out[base + j] = f(out[base + j], e[base + j])
-        return Mat._trusted(self.rows, self.cols, self.domain, out)
+            # only the entries f touched can have become zero
+            touched = set(cols)
+            kept = [j for j in mine if j not in touched]
+            kept += [j for j in cols if out[base + j]]
+            nz.append(tuple(sorted(kept)))
+        return Mat._trusted(self.rows, self.cols, self.domain, out, tuple(nz))
 
     def __add__(self, other: "Mat") -> "Mat":
         return self._entrywise(operator.add, other)
@@ -531,7 +540,9 @@ class Mat:
                 out[base + j] = v
         if target is Domain.COMPLEX:
             return Mat(self.rows, self.cols, target, np.array(out, dtype=complex))
-        return Mat._trusted(self.rows, self.cols, target, out)
+        # a nonzero polynomial can vanish at u
+        nz = tuple(tuple(j for j in cols if out[i * c + j]) for i, cols in enumerate(nzs))
+        return Mat._trusted(self.rows, self.cols, target, out, nz)
 
     # -- linear algebra (delegates) -----------------------------------------
 

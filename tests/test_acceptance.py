@@ -199,3 +199,22 @@ def test_acceptance_9_negative_controls():
     assert cert3.verdict == "NOT_EQUIVALENT"
     print("PASS 9: the permutation point is rejected as reducible and wrong"
           " parameters draw a reproducible spectral obstruction")
+
+
+def test_acceptance_10_exact_irreducible_n20(capsys):
+    import json
+
+    from braidrep.cli import main
+
+    start = time.monotonic()
+    code = main(["irreducible", "--family", "standard", "--n", "20", "--u", "23/7"])
+    elapsed = time.monotonic() - start
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["irreducible"] is True
+    burnside = doc["burnside"]
+    assert (burnside["method"], burnside["dimension"], burnside["domain"]) == (
+        "norton", 400, "rational")
+    assert elapsed < 10.0, "exact irreducible at n = 20 took %.1fs" % elapsed
+    with capsys.disabled():
+        print("PASS 10: exact irreducible at 20 strands, u = 23/7, certified by"
+              " Norton's test over Q (%.2fs)" % elapsed)

@@ -29,7 +29,15 @@ from braidrep.errors import (
     WitnessInvalid,
 )
 from braidrep.laurent import LaurentPoly
-from braidrep.matrix import Domain, Mat, ops_for
+from braidrep.matrix import (
+    Domain,
+    Mat,
+    _poly_mul,
+    charpoly,
+    nullspace,
+    ops_for,
+    poly_eval_matrix,
+)
 from braidrep.reps import (
     Rep,
     burau_rep,
@@ -256,6 +264,8 @@ def test_echelon_basis_matches_fraction_rows(monkeypatch, family, n, u):
     assert got == ref  # dimension and generations
     assert basis.log == ref_basis.log and basis.dim == ref_basis.dim
     assert basis.vectors() == ref_basis.vectors()
+    # each stored row is primitive, with a positive pivot
+    assert all(row[p] > 0 and math.gcd(*row) == 1 for p, row in basis.rows)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -308,6 +318,150 @@ def test_norton_certifies_near_zero_u():
     for n in (5, 9):
         rho = specialize(standard_rep(n), 3e-3 + 0j)
         assert analysis._norton(rho).full
+
+
+# u in {1, 4, 9/4, ...}: the permutation point, square u (x^2 - u splits),
+# non-square u of either sign (x^2 - u is irreducible) and -1
+EXACT_US = [Fraction(1), Fraction(4), Fraction(9, 4), Fraction(-1), Fraction(23, 7),
+            Fraction(-5, 3), Fraction(2), Fraction(1, 4), Fraction(-4)]
+FAMILIES = {"standard": standard_rep, "burau": burau_rep}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", range(3, 11))
+def test_exact_norton_agrees_with_span_closure(family, n):
+    for u in EXACT_US:
+        rho = specialize(FAMILIES[family](n), u)
+        closure = burnside_dimension(rho)
+        norton = analysis._norton(rho)
+        # every full span is certified, and nothing else is
+        assert (norton is not None) is closure.full, (family, n, u)
+        if norton is not None:
+            assert norton.method == "norton" and norton.domain is Domain.RATIONAL
+            assert norton.dimension == n * n and norton.generations <= n - 1
+
+
+def test_exact_norton_laurent_runs_at_the_sample_points():
+    norton = analysis._norton(standard_rep(5))
+    closure = burnside_dimension(standard_rep(5))
+    assert norton.method == "norton" and norton.domain is Domain.LAURENT
+    assert norton.full and norton.notes == closure.notes
+    assert analysis._norton(burau_rep(5)) is None
+
+
+def test_simple_part_keeps_the_factors_of_multiplicity_one():
+    def mul(*ps):
+        out = [Fraction(1)]
+        for p in ps:
+            out = _poly_mul(out, p, ops_for(Domain.RATIONAL))
+        return out
+
+    x_minus_1 = [Fraction(-1), Fraction(1)]
+    x2_minus_u = [Fraction(-23, 7), Fraction(0), Fraction(1)]
+    assert analysis._simple_part(mul(x_minus_1, x_minus_1, x_minus_1, x2_minus_u)) == x2_minus_u
+    assert analysis._simple_part(mul(x2_minus_u, x2_minus_u)) == [1]
+    assert analysis._simple_part(mul(x_minus_1, x2_minus_u)) == mul(x_minus_1, x2_minus_u)
+
+
+def _spied_commutes(monkeypatch) -> list:
+    verdicts = []
+    commutes = analysis._commutes
+
+    def spy(pairs, ops):
+        verdicts.append(commutes(pairs, ops))
+        return verdicts[-1]
+
+    monkeypatch.setattr(analysis, "_commutes", spy)
+    return verdicts
+
+
+def reduced_burau_sqrt2(n: int) -> Rep:
+    """The (n-1)-dimensional reduced Burau representation at t = 1 + sqrt 2,
+    written over Q: irreducible over Q, but its endomorphisms include
+    multiplication by sqrt 2, so it is not absolutely irreducible."""
+    t, neg_t, one, zero = (1, 1), (-1, -1), (1, 0), (0, 0)
+    m = n - 1
+    gens = []
+    for i in range(1, n):
+        k = [[one if r == c else zero for c in range(m)] for r in range(m)]
+        r = i - 1
+        k[r][r] = neg_t
+        if r > 0:
+            k[r][r - 1] = t
+        if r + 1 < m:
+            k[r][r + 1] = one
+        rows = []
+        for row in k:
+            rows.append([Fraction(v) for a, b in row for v in (a, 2 * b)])
+            rows.append([Fraction(v) for a, b in row for v in (b, a)])
+        gens.append(Mat.from_rows(rows, Domain.RATIONAL))
+    return Rep(n, gens, "reduced burau at 1+sqrt2")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_norton_declines_reduced_burau_over_q_sqrt2(monkeypatch, n):
+    rho = reduced_burau_sqrt2(n)  # checks the braid relations
+    verdicts = _spied_commutes(monkeypatch)
+    assert analysis._norton(rho) is None
+    assert verdicts == [True]  # both spins were full; the centraliser declined
+    assert burnside_dimension(rho).dimension == 2 * (n - 1) ** 2
+
+
+def test_irreducible_rep_multiplying_by_one_plus_sqrt2(monkeypatch, capsys, tmp_path):
+    from braidrep.cli import main
+
+    m = Mat.from_rows([[Fraction(1), Fraction(2)], [Fraction(1), Fraction(1)]], Domain.RATIONAL)
+    path = tmp_path / "sqrt2.json"
+    path.write_text(json.dumps(Rep(3, [m, m]).to_json_dict()), encoding="utf-8")
+    verdicts = _spied_commutes(monkeypatch)
+    assert main(["irreducible", "--rep", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert verdicts == [True]
+    assert doc["irreducible"] is False
+    assert (doc["burnside"]["method"], doc["burnside"]["dimension"]) == ("span", 2)
+
+
+def test_exact_norton_declines_reducible_sums():
+    rho = specialize(standard_rep(5), Fraction(23, 7))
+    # in rho + rho every eigenvalue of s1 has multiplicity 2, so the part of
+    # multiplicity one is 1; x^2 - u at s1 has nullity 4, not 2
+    double = direct_sum(rho, rho)
+    assert analysis._simple_part(charpoly(double.gen(1))) == [1]
+    assert len(nullspace(poly_eval_matrix([Fraction(-23, 7), 0, 1], double.gen(1)))) == 4
+    # a rational root of multiplicity one whose spin stays in one summand
+    split = direct_sum(rho, specialize(standard_rep(5), Fraction(4)))
+    for reducible in (double, split,
+                      direct_sum(character_rep(5, Fraction(2)), specialize(standard_rep(5), 3))):
+        assert analysis._norton(reducible) is None
+        assert not burnside_dimension(reducible).full
+
+
+def test_exact_norton_needs_the_dual_spin():
+    # Norton's test is about modules, so these two generators need not
+    # braid: span(e1) is invariant and has no invariant complement.  The
+    # kernel vector e2 of s1 - 3I spins to Q^2, but the dual one stays put.
+    a = Mat.from_rows([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]], Domain.RATIONAL)
+    b = Mat.from_rows([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]], Domain.RATIONAL)
+    rho = Rep(3, [a, b], check=False)
+    assert analysis._norton(rho) is None
+    assert burnside_dimension(rho).dimension == 3  # the upper triangular matrices
+
+
+def test_exact_norton_certifies_a_hidden_rational_basis():
+    rho = character_twist(specialize(standard_rep(6), Fraction(-5, 3)), Fraction(3, 2))
+    p = Mat.from_rows([[Fraction((3 * i + 5 * j) % 7 - 3 + (i == j) * 4) for j in range(6)]
+                       for i in range(6)], Domain.RATIONAL)
+    hidden = Rep(6, [p @ g @ p.inverse() for g in rho.gens])
+    norton = analysis._norton(hidden)
+    assert norton is not None and norton.full
+    assert burnside_dimension(hidden).full
+
+
+def test_exact_norton_declines_past_the_generation_cap():
+    rho = specialize(standard_rep(7), Fraction(37, 9))
+    assert analysis._norton(rho, max_generations=6).generations == 6
+    assert analysis._norton(rho, max_generations=5) is None
+    assert analysis._norton(rho, max_generations=0) is None
 
 
 def _loop_gram_schmidt(vectors, tol):

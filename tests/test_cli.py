@@ -140,6 +140,22 @@ def test_irreducible_generic_and_permutation_point(capsys, schema):
     assert doc["irreducible"] is False and doc["burnside"]["dimension"] == 5
 
 
+def test_irreducible_exact_norton_and_its_generation_cap(capsys, schema):
+    argv = ["irreducible", "--family", "standard", "--n", "7", "--u", "37/9"]
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 0
+    check(schema, doc)
+    assert doc["irreducible"] is True
+    assert (doc["burnside"]["method"], doc["burnside"]["generations"]) == ("norton", 6)
+    # Norton's spins need 6 generations at n = 7, so under a cap of 5 they
+    # decline and the span closure, which needs 5, decides
+    code, doc, _ = run_cli(capsys, *argv, "--max-generations", "5")
+    assert code == 0
+    check(schema, doc)
+    assert doc["irreducible"] is True
+    assert (doc["burnside"]["method"], doc["burnside"]["generations"]) == ("span", 5)
+
+
 def test_classify_twisted_family(capsys, schema):
     code, doc, _ = run_cli(capsys, "classify", "--family", "standard",
                            "--strands", "9", "--u", "2.5+0j", "--y", "2+0j")
@@ -422,6 +438,18 @@ def test_non_finite_numbers_are_null(capsys, schema):
     assert audit["max_param_err"] is None
     assert all(r["error"] and r["y_err"] is None and r["u_err"] is None
                for r in audit["rows"])
+
+
+@pytest.mark.parametrize("env", [
+    {"a": [1.5, (2, "x")], "b": {"c": None}},
+    {"a": [float("inf"), (float("nan"), 1)], "b": {"c": -float("inf")}},
+])
+def test_emit_matches_the_strict_rebuild(capsys, env):
+    from braidrep.cli import _emit, _strict
+
+    _emit(env, None)
+    assert capsys.readouterr().out == json.dumps(
+        _strict(env), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def test_usage_error_exits_2(capsys):

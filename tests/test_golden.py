@@ -22,8 +22,10 @@ A deliberate report change is recorded again with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and named in CHANGES.md; the recording run prints each pin's current
-sha256, to be copied into PINS by hand.
+and named in CHANGES.md.  The recording run rewrites only the goldens whose
+bytes changed, prints each one's field-level diff (JSON path: old -> new)
+for CHANGES.md, and prints each pin's current sha256, to be copied into
+PINS by hand.
 """
 
 import cmath
@@ -111,6 +113,35 @@ def test_golden_report(name):
     assert out == golden
 
 
+_ABSENT = object()
+
+
+def field_diff(old, new, path: str = "$"):
+    """(JSON path, old, new) for each leaf where two parsed reports differ;
+    a key that one side lacks reads as absent there."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from field_diff(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                  "%s.%s" % (path, key))
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from field_diff(a, b, "%s[%d]" % (path, i))
+    elif old != new:
+        yield path, old, new
+
+
+def _show(x) -> str:
+    return "absent" if x is _ABSENT else json.dumps(x, sort_keys=True)
+
+
+def test_field_diff_names_each_changed_leaf():
+    old = {"a": {"b": 1, "c": [1, 2]}, "d": "x", "gone": None}
+    new = {"a": {"b": 2, "c": [1, 3]}, "d": "x", "added": True}
+    got = [(p, _show(a), _show(b)) for p, a, b in field_diff(old, new)]
+    assert got == [("$.a.b", "1", "2"), ("$.a.c[1]", "2", "3"),
+                   ("$.added", "absent", "true"), ("$.gone", "null", "absent")]
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -135,7 +166,14 @@ if __name__ == "__main__":
         code, out = run(CASES[name])
         if code != (0 if json.loads(out)["ok"] else 1):
             raise SystemExit("%s exited %d" % (name, code))
-        (GOLDEN / (name + ".json")).write_text(out, encoding="utf-8")
+        path = GOLDEN / (name + ".json")
+        old = path.read_text(encoding="utf-8") if path.exists() else None
+        if out == old:
+            continue
+        path.write_text(out, encoding="utf-8")
         print("recorded", name)
+        if old is not None:
+            for where, a, b in field_diff(json.loads(old), json.loads(out)):
+                print("  %s: %s -> %s" % (where, _show(a), _show(b)))
     for name, (argv, _) in sorted(PINS.items()):
         print("pin", name, sha256(run(argv)[1]))

@@ -598,8 +598,12 @@ def test_sparse_product_sum_and_scale_match_dense_loops(data, domain):
     assert prod == dense_product(a, b)
     assert prod._nz == recomputed_index(prod)
     c = data.draw(sparse_mats(domain, n, k))
-    assert (a + c).entries == tuple(x + y for x, y in zip(a.entries, c.entries))
-    assert (a - c).entries == tuple(x - y for x, y in zip(a.entries, c.entries))
+    total, diff = a + c, a - c
+    assert total.entries == tuple(x + y for x, y in zip(a.entries, c.entries))
+    assert diff.entries == tuple(x - y for x, y in zip(a.entries, c.entries))
+    # sums carry their nonzero index, with the cancelled entries dropped
+    assert total._nz == recomputed_index(total) and diff._nz == recomputed_index(diff)
+    assert (a - a)._nz == ((),) * n
     assert (-a).entries == tuple(-x for x in a.entries)
     s = data.draw(st.sampled_from([0, 1, -1, Fraction(-5, 3)]))
     scaled = a.scale(s)
@@ -614,7 +618,8 @@ def test_sparse_eval_at_matches_entrywise_evaluation(m, u):
     got = m.eval_at(u)
     assert got == Mat(m.rows, m.cols, got.domain, [x.eval(u) for x in m.entries])
     if got.domain is Domain.RATIONAL:
-        assert got._nonzeros() == recomputed_index(got)
+        # built with its index; an entry that vanishes at u is left out
+        assert got._nz == recomputed_index(got)
 
 
 def _sympy_entry(x):
