@@ -478,21 +478,21 @@ def _norton(rho: Rep, tol: float = DEFAULT_TOL,
     with the spins' largest generation count, or None whenever the test does
     not certify: it never reports a reducible module.
     """
-    n = rho.degree
     if rho.domain is Domain.COMPLEX:
         return _complex_norton(rho, tol, cluster_tol)
     if rho.domain is Domain.RATIONAL:
-        generations = _exact_norton(list(rho.gens), max_generations)
-        if generations is None:
+        points, notes = [list(rho.gens)], ""
+    else:
+        pts = _sample_points()
+        points = ([m.eval_at(u) for m in rho.gens] for u in pts)
+        notes = _generic_note(pts)
+    generations = []
+    for gens in points:
+        generations.append(_exact_norton(gens, max_generations))
+        if generations[-1] is None:
             return None
-        return BurnsideReport(n, rho.domain, n * n, generations, method="norton")
-    pts = _sample_points()
-    runs = []
-    for u in pts:
-        runs.append(_exact_norton([m.eval_at(u) for m in rho.gens], max_generations))
-        if runs[-1] is None:
-            return None
-    return BurnsideReport(n, rho.domain, n * n, max(runs), _generic_note(pts), "norton")
+    n = rho.degree
+    return BurnsideReport(n, rho.domain, n * n, max(generations), notes, "norton")
 
 
 def _complex_norton(rho: Rep, tol: float, cluster_tol: float) -> BurnsideReport | None:
@@ -565,9 +565,10 @@ def _simple_part(f: list) -> list:
 
 def _rational_root(p: list) -> Fraction | None:
     """The largest rational root found of the monic p, or None.  Exact up to
-    degree 2; above it, the numeric roots of p read as small-denominator
-    rationals, each verified exactly, so a root may be missed but never
-    made up."""
+    degree 2, so None there proves a quadratic p irreducible, which Norton's
+    test over its field needs.  Above degree 2, the numeric roots of p read
+    as small-denominator rationals, each verified exactly, so a root may be
+    missed but never made up."""
     if len(p) == 2:
         return -p[0]
     if len(p) == 3:
@@ -644,7 +645,8 @@ def _exact_norton(gens: list[Mat], max_generations: int | None) -> int | None:
     ops = [_integer_array(g) for g in gens]
     v = kernel[0]
     seed = Mat.from_columns([v, a @ v]) if pair else v
-    spins = ((_integer_array(seed), ops, _PairBasis() if pair else _EchelonBasis()),
+    spun = _PairBasis() if pair else _EchelonBasis()
+    spins = ((_integer_array(seed), ops, spun),
              (_integer_array(dual_kernel[0]), [g.T for g in ops], _EchelonBasis()))
     generations = []
     for start, spin_ops, basis in spins:
@@ -654,7 +656,7 @@ def _exact_norton(gens: list[Mat], max_generations: int | None) -> int | None:
             return None
         if basis.dim < n:
             return None
-    if pair and _commutes(spins[0][2].pairs, ops):
+    if pair and _commutes(spun.pairs, ops):
         return None
     return max(generations)
 
