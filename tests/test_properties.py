@@ -182,3 +182,41 @@ def test_recovered_parameters_scale_like_the_twist():
         scaled = recover_parameters(character_twist(rho, c))
         assert abs(scaled.u - base.u) <= 1e-9 * max(1.0, abs(base.u))
         assert abs(scaled.y - c * base.y) <= 1e-9 * abs(c * base.y)
+
+
+def _block_sum(a: Rep, b: Rep) -> Rep:
+    zero = Fraction(0)
+    gens = []
+    for g, h in zip(a.gens, b.gens):
+        rows = [g.row(i) + [zero] * b.degree for i in range(a.degree)]
+        rows += [[zero] * a.degree + h.row(i) for i in range(b.degree)]
+        gens.append(Mat.from_rows(rows, Domain.RATIONAL))
+    return Rep(a.strands, gens, check=False)
+
+
+def test_exact_norton_never_certifies_a_partial_span():
+    # random rational points of both families, twists, direct sums and
+    # integer changes of basis: the exact test may decline a full span, but
+    # a certificate must always be a full span
+    rng = random.Random(0xF9)
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        pick = standard_rep if rng.random() < 0.7 else burau_rep
+        rho = specialize(pick(n), Fraction(1) if rng.random() < 0.15
+                         else random_rational(rng, -9, 9, 4))
+        if rng.random() < 0.5:
+            rho = character_twist(rho, random_rational(rng, -5, 5, 3))
+        if rng.random() < 0.3:
+            rho = _block_sum(rho, specialize(pick(n), random_rational(rng, -9, 9, 4)))
+        d = rho.degree
+        while True:
+            p = Mat.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(d)]
+                               for _ in range(d)], Domain.RATIONAL)
+            if p.det() != 0:
+                break
+        rho = Rep(n, [p @ g @ p.inverse() for g in rho.gens], check=False)
+        norton = analysis._norton(rho)
+        closure = burnside_dimension(rho)
+        assert norton is None or closure.full, (n, pick.__name__, d)
+        if pick is standard_rep and d == n and closure.full:
+            assert norton is not None, "a full span of the block family declined"
