@@ -34,11 +34,12 @@ coprime integer arrays, and its echelon basis holds primitive integer rows
 reduced by fraction-free (Bareiss) steps, never a Fraction.
 
 Norton's test certifies irreducibility, and so a full span by Burnside's
-theorem, or declines; it never reports a reducible module.  Over the
-rationals it is exact (Holt and Rees, 1994) and the irreducible command runs
-it before the span closure; classify runs it on the complexification.  The
-span closure stays the measure of the span dimension and decides every input
-the test declines.
+theorem, or declines; it never reports a reducible module.  _norton picks
+the test from the input's domain: exact over the rationals (Holt and Rees,
+1994), at the three sample points for Laurent input, numeric over the
+complex numbers.  The irreducible command and classify both run it first.
+The span closure stays the measure of the span dimension and decides every
+input the test declines.
 
 Exact domains are kept exact wherever eigenvalues are rational; everything
 else runs on the complexification with max-norm residual reporting.  Laurent
@@ -470,16 +471,17 @@ def burnside_dimension(rho: Rep, tol: float = DEFAULT_TOL,
 def _norton(rho: Rep, tol: float = DEFAULT_TOL,
             cluster_tol: float = DEFAULT_CLUSTER_TOL,
             max_generations: int | None = None) -> BurnsideReport | None:
-    """Norton's irreducibility test, or None.
+    """Norton's irreducibility test in rho's own domain, or None.
 
     A COMPLEX rep runs the numeric test, a RATIONAL one the exact test
     (_exact_norton), and a LAURENT one the exact test at the three fixed
     sample points, all of which must certify.  Returns the full report,
     with the spins' largest generation count, or None whenever the test does
-    not certify: it never reports a reducible module.
+    not certify, a spin past max_generations included: it never reports a
+    reducible module.
     """
     if rho.domain is Domain.COMPLEX:
-        return _complex_norton(rho, tol, cluster_tol)
+        return _complex_norton(rho, tol, cluster_tol, max_generations)
     if rho.domain is Domain.RATIONAL:
         points, notes = [list(rho.gens)], ""
     else:
@@ -495,7 +497,22 @@ def _norton(rho: Rep, tol: float = DEFAULT_TOL,
     return BurnsideReport(n, rho.domain, n * n, max(generations), notes, "norton")
 
 
-def _complex_norton(rho: Rep, tol: float, cluster_tol: float) -> BurnsideReport | None:
+def _full_spins(spins, n: int, max_generations: int | None) -> int | None:
+    """Spin each (seed, ops, basis): the largest generation count when every
+    spin reaches dimension n within max_generations, else None."""
+    generations = []
+    for seed, ops, basis in spins:
+        try:
+            generations.append(_spin([seed], ops, basis, n, max_generations))
+        except ClosureDiverged:
+            return None
+        if basis.dim < n:
+            return None
+    return max(generations)
+
+
+def _complex_norton(rho: Rep, tol: float, cluster_tol: float,
+                    max_generations: int | None) -> BurnsideReport | None:
     """Norton's test on a COMPLEX rep.
 
     Take theta = rho(s1) - lam*I for the first simple eigenvalue lam whose
@@ -522,14 +539,11 @@ def _complex_norton(rho: Rep, tol: float, cluster_tol: float) -> BurnsideReport 
         w = _np_nullspace(theta.T, tol)
         if v.shape[1] != 1 or w.shape[1] != 1:
             continue
-        generations = []
-        for seed, ops in ((v[:, 0], gens), (w[:, 0], duals)):
-            basis = _OrthoBasis(tol)
-            generations.append(_spin([seed], ops, basis, n))
-            if basis.dim < n:
-                return None
-        return BurnsideReport(n, Domain.COMPLEX, n * n, max(generations),
-                              method="norton")
+        generations = _full_spins(((v[:, 0], gens, _OrthoBasis(tol)),
+                                   (w[:, 0], duals, _OrthoBasis(tol))), n, max_generations)
+        if generations is None:
+            return None
+        return BurnsideReport(n, Domain.COMPLEX, n * n, generations, method="norton")
     return None
 
 
@@ -646,19 +660,12 @@ def _exact_norton(gens: list[Mat], max_generations: int | None) -> int | None:
     v = kernel[0]
     seed = Mat.from_columns([v, a @ v]) if pair else v
     spun = _PairBasis() if pair else _EchelonBasis()
-    spins = ((_integer_array(seed), ops, spun),
-             (_integer_array(dual_kernel[0]), [g.T for g in ops], _EchelonBasis()))
-    generations = []
-    for start, spin_ops, basis in spins:
-        try:
-            generations.append(_spin([start], spin_ops, basis, n, max_generations))
-        except ClosureDiverged:
-            return None
-        if basis.dim < n:
-            return None
-    if pair and _commutes(spun.pairs, ops):
+    generations = _full_spins(((_integer_array(seed), ops, spun),
+                               (_integer_array(dual_kernel[0]), [g.T for g in ops],
+                                _EchelonBasis())), n, max_generations)
+    if generations is None or pair and _commutes(spun.pairs, ops):
         return None
-    return max(generations)
+    return generations
 
 
 def _commutes(pairs: list[np.ndarray], ops: list[np.ndarray]) -> bool:

@@ -18,19 +18,21 @@ The pipeline here makes that effective:
                         certifies, else from the Kronecker system.
   classify              relations -> irreducibility -> parameter recovery ->
                         certified comparison against the rebuilt model, in
-                        one pass.  Norton's test certifies irreducibility;
-                        the span closure runs when it declines or when the
-                        certificate is not EQUIVALENT.  Raises NotIrreducible
-                        when the span test fails; flags THEOREM-CONTRADICTION
-                        in the report if an irreducible input with n >= 9
-                        refuses to match (no such input should exist).
+                        one pass.  Norton's test, in the input's own domain,
+                        certifies irreducibility; the span closure runs when
+                        it declines or when the certificate is not
+                        EQUIVALENT.  Raises NotIrreducible when the span
+                        test fails; flags THEOREM-CONTRADICTION in the
+                        report if an irreducible input with n >= 9 refuses
+                        to match (no such input should exist).
   audit_theorem         randomized end-to-end exercise: sample (y, u), build
                         the twisted family, hide it behind a random
                         well-conditioned change of basis, and require the
                         pipeline to recover everything within tolerance.
 
-Verdicts run on the complexification; exact inputs are accepted and
-converted.  All residuals are relative max-norm.
+Irreducibility is decided in the input's own domain, exactly for rational
+input; parameter recovery and the certificate run on the complexification.
+All residuals are relative max-norm.
 """
 
 from __future__ import annotations
@@ -347,9 +349,9 @@ def classify(rho: Rep, tol: float = DEFAULT_TOL,
     """Match an irreducible degree-n representation of n strands to the family.
 
     One pass: verify the defining relations, certify irreducibility by
-    Norton's test or else by span dimension (NotIrreducible when not full),
-    recover (y, u) from the spectrum, rebuild the twisted model and certify
-    equivalence.  Only an EQUIVALENT certificate backs Norton's test, so
+    Norton's test in rho's domain or else by span dimension (NotIrreducible
+    when not full), recover (y, u) from the spectrum, rebuild the twisted
+    model and certify equivalence.  Only an EQUIVALENT certificate backs Norton's test, so
     after any other verdict the span closure decides irreducibility; the
     certificate does not depend on it.  For n >= 9 a NOT_EQUIVALENT verdict
     on an irreducible input contradicts the classification this package
@@ -364,9 +366,7 @@ def classify(rho: Rep, tol: float = DEFAULT_TOL,
         raise RelationFailure(
             "input does not satisfy the braid relations (max residual %.3g)"
             % relations.max_residual)
-    burnside = _norton(rho.to_complex(), tol, cluster_tol)
-    if burnside is None:
-        burnside = _span_closure(rho, tol)
+    burnside = _norton(rho, tol, cluster_tol) or _span_closure(rho, tol)
     params = recover_parameters(rho, tol, cluster_tol)
     model = character_twist(specialize(standard_rep(rho.strands), params.u), params.y)
     cert = certify_equivalence(rho, model, tol, cluster_tol)

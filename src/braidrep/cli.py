@@ -138,13 +138,10 @@ def _cmd_corank(args, tol, cluster_tol):
 
 def _cmd_irreducible(args, tol, cluster_tol):
     rho = _build_rep(args, tol)
-    # the exact Norton test certifies irreducible input in dimension n; the
-    # span closure decides whatever it declines
-    report = None
-    if rho.domain is not Domain.COMPLEX:
-        report = _norton(rho, max_generations=args.max_generations)
-    if report is None:
-        report = burnside_dimension(rho, tol, args.max_generations)
+    # Norton's test certifies irreducible input in dimension n; the span
+    # closure decides whatever it declines
+    report = (_norton(rho, tol, cluster_tol, args.max_generations)
+              or burnside_dimension(rho, tol, args.max_generations))
     return {"burnside": report.to_json_dict(), "irreducible": report.full}
 
 
@@ -295,10 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_corank)
 
     p = sub.add_parser("irreducible", parents=[common, reps],
-                       help="span dimension of the image algebra; full span"
-                            " certifies irreducibility")
+                       help="irreducibility by Norton's test in the input's"
+                            " domain, else the span dimension of the image"
+                            " algebra; full span certifies irreducibility")
     p.add_argument("--max-generations", type=int, default=50,
-                   help="closure generation cap (default 50)")
+                   help="generation cap for Norton's spins and the span"
+                        " closure (default 50)")
     p.set_defaults(handler=_cmd_irreducible)
 
     p = sub.add_parser("classify", parents=[common, reps],

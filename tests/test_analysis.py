@@ -320,6 +320,39 @@ def test_norton_certifies_near_zero_u():
         assert analysis._norton(rho).full
 
 
+# complex u -> a rational point next to it, whose exact closure is the
+# reference: generic u, real u < 0, |u| = 1 and |u| = 3e-3
+COMPLEX_US = {
+    2.5 + 0.5j: Fraction(5, 2),
+    -1.4 + 1.1j: Fraction(-7, 5),
+    -0.7 + 0j: Fraction(-7, 10),
+    -2.2 + 0j: Fraction(-11, 5),
+    -1 + 0j: Fraction(-1),
+    0.6 + 0.8j: Fraction(3, 5),
+    -0.6 + 0.8j: Fraction(-3, 5),
+    3e-3 + 0j: Fraction(3, 1000),
+    -3e-3 + 0j: Fraction(-3, 1000),
+    1.8e-3 + 2.4e-3j: Fraction(9, 5000),
+}
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_complex_norton_agrees_with_exact_closure_nearby(n):
+    for u, near in COMPLEX_US.items():
+        norton = analysis._norton(specialize(standard_rep(n), u))
+        reference = burnside_dimension(specialize(standard_rep(n), near))
+        assert (norton is not None) is reference.full, (n, u)
+        assert norton.full and norton.domain is Domain.COMPLEX
+    # and it declines every reducible input
+    rho = specialize(standard_rep(n), 2.5 + 0.5j)
+    for reducible in (specialize(standard_rep(n), 1 + 0j),
+                      specialize(burau_rep(n), 2.5 + 0.5j),
+                      direct_sum(rho, rho),
+                      direct_sum(character_rep(n, 2 + 0j), rho)):
+        assert analysis._norton(reducible) is None
+        assert not burnside_dimension(reducible).full
+
+
 # u in {1, 4, 9/4, ...}: the permutation point, square u (x^2 - u splits),
 # non-square u of either sign (x^2 - u is irreducible) and -1
 EXACT_US = [Fraction(1), Fraction(4), Fraction(9, 4), Fraction(-1), Fraction(23, 7),
@@ -462,6 +495,11 @@ def test_exact_norton_declines_past_the_generation_cap():
     assert analysis._norton(rho, max_generations=6).generations == 6
     assert analysis._norton(rho, max_generations=5) is None
     assert analysis._norton(rho, max_generations=0) is None
+    # the complex test honours the same cap: its spins need 5 generations
+    rho = specialize(standard_rep(7), 2.5 + 0.5j)
+    capped = analysis._norton(rho, max_generations=5)
+    assert (capped.method, capped.generations) == ("norton", 5)
+    assert analysis._norton(rho, max_generations=4) is None
 
 
 def _loop_gram_schmidt(vectors, tol):

@@ -249,6 +249,22 @@ def test_classify_exact_input():
     assert abs(report.u - 3) < 1e-8
 
 
+@pytest.mark.parametrize("n", [9, 12])
+def test_classify_exact_input_matches_its_complexification(n):
+    # Norton's test runs over Q on exact input, so only the burnside block's
+    # domain and generation count may differ from the complex run
+    for u in (Fraction(23, 7), Fraction(-5, 3), Fraction(4)):
+        for y in (Fraction(1), Fraction(2), Fraction(-3, 2)):
+            rho = character_twist(specialize(standard_rep(n), u), y)
+            exact = classify(rho).to_json_dict()
+            numeric = classify(rho.to_complex()).to_json_dict()
+            assert exact["burnside"].pop("domain") == "rational"
+            assert numeric["burnside"].pop("domain") == "complex"
+            del exact["burnside"]["generations"], numeric["burnside"]["generations"]
+            assert exact == numeric, (n, u, y)
+            assert exact["burnside"]["method"] == "norton"
+
+
 def test_classify_small_strands():
     report = classify(specialize(standard_rep(5), 2.0 + 1.0j))
     assert report.classified

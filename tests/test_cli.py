@@ -154,6 +154,27 @@ def test_irreducible_exact_norton_and_its_generation_cap(capsys, schema):
     check(schema, doc)
     assert doc["irreducible"] is True
     assert (doc["burnside"]["method"], doc["burnside"]["generations"]) == ("span", 5)
+    # the complex test honours the cap too: its spins need 5 generations,
+    # and under a cap of 4 the closure decides and diverges
+    argv = ["irreducible", "--family", "standard", "--n", "7", "--u", "2.5+0.5j"]
+    code, doc, _ = run_cli(capsys, *argv, "--max-generations", "5")
+    assert code == 0
+    assert (doc["burnside"]["method"], doc["burnside"]["generations"]) == ("norton", 5)
+    code, doc, _ = run_cli(capsys, *argv, "--max-generations", "4")
+    assert code == 1
+    check(schema, doc)
+    assert doc["error"]["name"] == "ClosureDiverged"
+
+
+def test_irreducible_complex_near_zero_u(capsys, schema):
+    # the complex span closure under-counts here (66 of 81), while the exact
+    # closure at u = 3/1000 is full; Norton's test certifies the input
+    code, doc, _ = run_cli(capsys, "irreducible", "--family", "standard", "--n", "9",
+                           "--u=0.003+0j")
+    assert code == 0
+    check(schema, doc)
+    assert doc["irreducible"] is True
+    assert (doc["burnside"]["method"], doc["burnside"]["dimension"]) == ("norton", 81)
 
 
 def test_classify_twisted_family(capsys, schema):
