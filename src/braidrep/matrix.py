@@ -1029,10 +1029,13 @@ def minpoly(m: Mat, tol: float = DEFAULT_TOL,
             cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
     """Monic minimal polynomial, coefficients ascending.
 
-    Exact domains find the first linear dependence among vec(m^0), vec(m^1),
-    ... by fraction-free elimination with combination tracking, then divide
-    out the tracked pivot product (exact because a monic factor of a monic
-    polynomial over the Laurent ring stays in the ring).  The complex domain
+    Exact domains stack vec(m^0), vec(m^1), ... as columns, doubling their
+    number until the stack has a kernel; by Cayley-Hamilton it has one at
+    n + 1 powers.  The echelon kernel's first vector belongs to the first
+    power m^d that depends on the earlier ones, so its first d + 1 entries
+    are the minimal polynomial's coefficients, made monic by dividing by the
+    last (exact over the Laurent ring too, as a monic factor of the monic
+    characteristic polynomial stays in the ring).  The complex domain
     assembles the polynomial from clustered eigenvalues and Jordan data,
     which is far more stable than floating Krylov elimination.
     """
@@ -1049,43 +1052,16 @@ def minpoly(m: Mat, tol: float = DEFAULT_TOL,
                 coeffs = _poly_mul(coeffs, [-jd.eigenvalue, complex(1)], _OPS[Domain.COMPLEX])
         return coeffs
     o = _OPS[m.domain]
-    # echelon rows over the Krylov vectors, each carrying its combination
-    rows: list[tuple[int, list, list]] = []  # (pivot index, row, combo)
-    power = Mat.identity(n, m.domain)
-    k = 0
-    while True:
-        work = list(power.entries)
-        combo = [o.zero] * k + [o.one]
-        for pidx, prow, pcombo in rows:
-            w = work[pidx]
-            if o.is_zero(w):
-                continue
-            pv = prow[pidx]
-            work = [pv * a - w * b for a, b in zip(work, prow)]
-            combo = [pv * a - w * b
-                     for a, b in zip(combo, pcombo + [o.zero] * (len(combo) - len(pcombo)))]
-        lead = next((i for i, x in enumerate(work) if not o.is_zero(x)), None)
-        if lead is None:
-            top = combo[k]
-            return [o.div(c, top) for c in combo]
-        work, combo = _normalize_tracked(work, combo, m.domain)
-        rows.append((lead, work, combo))
-        power = power @ m
-        k += 1
-        if k > n:
-            raise RuntimeError("minimal polynomial search exceeded the dimension bound")
-
-
-def _normalize_tracked(row: list, combo: list, domain: Domain) -> tuple[list, list]:
-    """Divide a tracked elimination row by the common content to keep
-    fraction-free growth in check; the final ratios are unaffected."""
-    c = _content(row + combo, domain)
-    if not c:
-        return row, combo
-    if domain is Domain.RATIONAL:
-        return [x / c for x in row], [x / c for x in combo]
-    return ([x.divide_exact(c) if not x.is_zero else x for x in row],
-            [x.divide_exact(c) if not x.is_zero else x for x in combo])
+    powers = [Mat.identity(n, m.domain)]
+    kernel = []
+    while not kernel:
+        for _ in range(min(len(powers), n + 1 - len(powers))):
+            powers.append(powers[-1] @ m)
+        stacked = zip(*(p.entries for p in powers))
+        kernel = nullspace(Mat._trusted(n * n, len(powers), m.domain,
+                                        [x for row in stacked for x in row]))
+    coeffs = kernel[0].entries[:len(powers) - len(kernel) + 1]
+    return [o.div(c, coeffs[-1]) for c in coeffs]
 
 
 # -- polynomial helpers over a scalar domain ---------------------------------
