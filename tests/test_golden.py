@@ -71,6 +71,8 @@ CASES = {
     "classify_n9_u1_complex": ["classify", "--family", "standard", "--n", "9",
                                "--u", "1+0j", "--y", "2+0j"],
     "classify_n9_u1_exact": ["classify", "--family", "standard", "--n", "9", "--u", "1"],
+    "classify_n9_23_7_exact": ["classify", "--family", "standard", "--n", "9",
+                               "--u", "23/7", "--y", "2"],
     "classify_n9_near_one": ["classify", "--family", "standard", "--n", "9",
                              "--u=1.0005+0j", "--y", "1+0j"],
 }
