@@ -310,6 +310,11 @@ def test_norton_declines_direct_sum():
     rho = direct_sum(character_rep(3, 2 + 0j), specialize(standard_rep(3), 2.0 + 0j))
     assert analysis._norton(rho) is None
     assert not burnside_dimension(rho).full
+    for n in (5, 9):
+        rho = specialize(standard_rep(n), 2.5 + 0.5j)
+        for reducible in (direct_sum(rho, rho), direct_sum(character_rep(n, 2 + 0j), rho)):
+            assert analysis._norton(reducible) is None
+            assert not burnside_dimension(reducible).full
 
 
 def test_norton_certifies_near_zero_u():
@@ -321,7 +326,8 @@ def test_norton_certifies_near_zero_u():
 
 
 # complex u -> a rational point next to it, whose exact closure is the
-# reference: generic u, real u < 0, |u| = 1 and |u| = 3e-3
+# reference: generic u, real u < 0, |u| = 1 and |u| = 3e-3.  The reducible
+# inputs (u = 1, Burau, direct sums) are declined in the tests above.
 COMPLEX_US = {
     2.5 + 0.5j: Fraction(5, 2),
     -1.4 + 1.1j: Fraction(-7, 5),
@@ -343,14 +349,6 @@ def test_complex_norton_agrees_with_exact_closure_nearby(n):
         reference = burnside_dimension(specialize(standard_rep(n), near))
         assert (norton is not None) is reference.full, (n, u)
         assert norton.full and norton.domain is Domain.COMPLEX
-    # and it declines every reducible input
-    rho = specialize(standard_rep(n), 2.5 + 0.5j)
-    for reducible in (specialize(standard_rep(n), 1 + 0j),
-                      specialize(burau_rep(n), 2.5 + 0.5j),
-                      direct_sum(rho, rho),
-                      direct_sum(character_rep(n, 2 + 0j), rho)):
-        assert analysis._norton(reducible) is None
-        assert not burnside_dimension(reducible).full
 
 
 # u in {1, 4, 9/4, ...}: the permutation point, square u (x^2 - u splits),
