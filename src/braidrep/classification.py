@@ -351,11 +351,11 @@ def classify(rho: Rep, tol: float = DEFAULT_TOL,
     One pass: verify the defining relations, certify irreducibility by
     Norton's test in rho's domain or else by span dimension (NotIrreducible
     when not full), recover (y, u) from the spectrum, rebuild the twisted
-    model and certify equivalence.  Only an EQUIVALENT certificate backs Norton's test, so
-    after any other verdict the span closure decides irreducibility; the
-    certificate does not depend on it.  For n >= 9 a NOT_EQUIVALENT verdict
-    on an irreducible input contradicts the classification this package
-    implements, so the report says so loudly.
+    model and certify equivalence.  Only an EQUIVALENT certificate backs
+    Norton's test, so after any other verdict the span closure decides
+    irreducibility; the certificate does not depend on it.  For n >= 9 a
+    NOT_EQUIVALENT verdict on an irreducible input contradicts the
+    classification this package implements, so the report says so loudly.
     """
     if rho.degree != rho.strands:
         raise ValueError("classification applies when degree equals strands")
