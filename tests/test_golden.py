@@ -9,10 +9,13 @@ hidden-basis inputs are twisted families conjugated by a random basis drawn
 from a fixed numpy seed (hidden_n9.rep.json, hidden_n12.rep.json).  The
 command set leaves out real u < 0 with real y and |u| near 3e-3, where
 classify gave wrong verdicts when the goldens were recorded, so every golden
-is a right report.  Four cases pin typed errors, whose envelope exits with
+is a right report.  Five cases pin typed errors, whose envelope exits with
 code 1: u = 1 is reducible over the complex numbers and over the rationals,
-u = 1.0005 recovers a degenerate u, and a span closure capped at three
-generations diverges.
+u = 1.0005 recovers a degenerate u, a span closure capped at three
+generations diverges, and an exact 4-strand input fails its far relation.
+That input, far_fails_n4.rep.json, is a fixed file: the unreduced Burau
+images of B_3 at t = 5/3 for s1 and s2, and s2 s1 s2^-1 for s3.  Its
+adjacent relations hold, so the reported residual is the far one.
 
 Reports too large to keep as files are pinned by the sha256 of their
 stdout instead (PINS): the 0.95 MB Laurent generator dump at n = 40, and
@@ -75,6 +78,7 @@ CASES = {
                                "--u", "23/7", "--y", "2"],
     "classify_n9_near_one": ["classify", "--family", "standard", "--n", "9",
                              "--u=1.0005+0j", "--y", "1+0j"],
+    "relations_far_fails_n4": ["relations", "--rep", "{golden}/far_fails_n4.rep.json"],
 }
 
 # name -> (argv, sha256 of stdout)
