@@ -184,11 +184,10 @@ def _eig_candidates(g: Mat, cluster_tol: float) -> list[tuple[object, int, bool,
     _axis_key.
     """
     clusters = eigen_numeric(g, cluster_tol)
-    ident = Mat.identity(g.rows, g.domain)
     ranks = {}
 
     def singular(f):
-        ranks[f] = rank_exact(g - ident.scale(f))
+        ranks[f] = rank_exact(g._shift(f))
         return ranks[f] < g.rows
 
     out = []
@@ -238,8 +237,7 @@ def _corank_of_matrix(g: Mat, tol: float, cluster_tol: float):
     table = []
     for val, _, exact, r in _eig_candidates(g, cluster_tol):
         if not exact:
-            gc = g if g.domain is Domain.COMPLEX else g.to_complex()
-            r = rank_numeric(gc - Mat.identity(g.rows, Domain.COMPLEX).scale(complex(val)), tol)
+            r = rank_numeric(g.to_complex()._shift(complex(val)), tol)
         table.append((val, r, exact))
     # ties go to the smallest-magnitude eigenvalue, then the positive-axis
     # order so +sqrt(u) beats its negative twin at equal magnitude
@@ -647,7 +645,7 @@ def _exact_norton(gens: list[Mat], max_generations: int | None) -> int | None:
     lam = _rational_root(p)
     pair = lam is None and len(p) == 3
     if lam is not None:
-        theta = a - Mat.identity(n, Domain.RATIONAL).scale(lam)
+        theta = a._shift(lam)
     elif pair:
         theta = poly_eval_matrix(p, a)
     else:
@@ -835,9 +833,8 @@ def subgroup_line_witness(rho: Rep, tol: float = DEFAULT_TOL,
                     crho = rho.to_complex()
                 work = crho
                 yv, xv = complex(y0), complex(x0)
-            ident = Mat.identity(rho.degree, work.domain)
-            blocks = [work.gen(i) - ident.scale(yv) for i in range(1, m - 2)]
-            blocks.append(work.gen(m - 1) - ident.scale(xv))
+            blocks = [work.gen(i)._shift(yv) for i in range(1, m - 2)]
+            blocks.append(work.gen(m - 1)._shift(xv))
             stacked = Mat.from_rows([r for b in blocks for r in b.row_lists()], work.domain)
             kern = nullspace(stacked, tol)
             if not kern:
@@ -857,19 +854,15 @@ def subgroup_line_witness(rho: Rep, tol: float = DEFAULT_TOL,
 
 
 def _scalar_of(p: Mat, tol: float):
-    n = p.rows
-    o = ops_for(p.domain)
-    d = p.at(0, 0)
     if p.domain is not Domain.COMPLEX:
-        for i in range(n):
-            for j in range(n):
-                want = d if i == j else o.zero
-                if p.at(i, j) != want:
-                    raise NotScalar("matrix is not scalar at (%d, %d)" % (i, j))
+        d = p.at(0, 0)
+        # the first nonzero of p - d*I, row by row, is the first entry off d*I
+        for i, cols in enumerate(p._shift(d)._nonzeros()):
+            if cols:
+                raise NotScalar("matrix is not scalar at (%d, %d)" % (i, cols[0]))
         return d
-    d = p.trace() / n
-    ident = Mat.identity(n, Domain.COMPLEX)
-    resid = (p - ident.scale(d)).max_norm()
+    d = p.trace() / p.rows
+    resid = p._shift(d).max_norm()
     if resid > tol * max(p.max_norm(), 1e-300):
         raise NotScalar("matrix is off scalar by relative %.3g" % (
             resid / max(p.max_norm(), 1e-300)))
@@ -1100,12 +1093,9 @@ def rank_conclusion_check(rho: Rep, y, tol: float = DEFAULT_TOL) -> RankConclusi
     """Rank of rho(s1) - y*I, exact when both sides allow it."""
     exact = rho.domain is not Domain.COMPLEX and _is_exact_scalar_for(rho.domain, y)
     if exact:
-        o = ops_for(rho.domain)
-        g = rho.gen(1)
-        r = rank_exact(g - Mat.identity(rho.degree, rho.domain).scale(o.coerce(y)))
+        r = rank_exact(rho.gen(1)._shift(y))
     else:
-        g = rho.gen(1).to_complex() if rho.domain is not Domain.COMPLEX else rho.gen(1)
-        r = rank_numeric(g - Mat.identity(rho.degree, Domain.COMPLEX).scale(complex(y)), tol)
+        r = rank_numeric(rho.gen(1).to_complex()._shift(complex(y)), tol)
     return RankConclusion(y, r, rho.degree, exact)
 
 
@@ -1262,14 +1252,13 @@ def invariant_subspace_search(rho: Rep, tries: int = 30, seed: int = 0,
     n = rho.degree
     exact_domain = rho.domain is Domain.RATIONAL
     ops = [_integer_array(g) if exact_domain else g.as_numpy() for g in rho.gens]
-    ident = Mat.identity(n, rho.domain)
     for trial in range(tries):
         rng = random.Random(seed * 1_000_003 + trial)
         a = _random_image_combination(rho, rng)
         for c, _, exact, _ in _eig_candidates(a, cluster_tol):
             if exact_domain and not exact:
                 continue
-            for vec in nullspace(a - ident.scale(c), tol):
+            for vec in nullspace(a._shift(c), tol):
                 if exact_domain:
                     basis, start = _EchelonBasis(), _integer_array(vec)
                 else:

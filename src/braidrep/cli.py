@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -345,6 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call: a parse leaves no state in it
+_parser = functools.cache(build_parser)
+
+
 def _check_tol(name: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError("%s must be finite and positive, got %r" % (name, value))
@@ -404,7 +409,7 @@ def _emit(env: dict, out_path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     env = {"schema": _SCHEMA_TAG, "command": None,
            "ok": True, "error": None, "tol": DEFAULT_TOL}
     out_path = None

@@ -378,6 +378,25 @@ class Mat:
         return Mat._trusted(self.rows, self.cols, self.domain, out,
                             self._nz if s else None)
 
+    def _shift(self, c) -> "Mat":
+        """self - c*I, bit for bit self - Mat.identity(n, domain).scale(c):
+        exact entries are copied once and the diagonal and its index
+        changed; COMPLEX subtracts scale's image of I, signed zeros and all."""
+        if not self.is_square:
+            raise ValueError("shift of a non-square matrix")
+        n = self.rows
+        if self.domain is Domain.COMPLEX:
+            return self - Mat.from_numpy(np.eye(n)).scale(c)
+        c = _OPS[self.domain].coerce(c)
+        out = list(self.entries)
+        nz = list(self._nonzeros())
+        for i, cols in enumerate(nz):
+            k = i * (n + 1)
+            x = out[k] = out[k] - c
+            if (i in cols) != bool(x):
+                nz[i] = tuple(sorted(set(cols) ^ {i}))
+        return Mat._trusted(n, n, self.domain, out, tuple(nz))
+
     def __mul__(self, s) -> "Mat":
         return self.scale(s)
 
@@ -1013,15 +1032,14 @@ def charpoly(m: Mat) -> list:
         coeffs = np.poly(vals) if n else np.array([1.0])
         return [complex(c) for c in coeffs[::-1]]
     o = _OPS[m.domain]
-    eye = Mat.identity(n, m.domain)
     coeffs_desc = [o.one]
-    nmat = eye
+    nmat = Mat.identity(n, m.domain)
     for k in range(1, n + 1):
         an = m @ nmat
         tr = an.trace()
         ck = -tr * Fraction(1, k)
         coeffs_desc.append(ck)
-        nmat = an + eye.scale(ck)
+        nmat = an._shift(-ck)
     return list(reversed(coeffs_desc))
 
 

@@ -510,3 +510,43 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     main(argv + ["--out", str(path)])
     assert capsys.readouterr().out == ""
     assert path.read_text() == out
+
+
+def test_cached_parser_answers_like_a_fresh_one(capsys, monkeypatch, tmp_path):
+    from braidrep import cli
+
+    out = tmp_path / "report.json"
+    steps = [  # (BRAIDREP_TOL or None, argv)
+        (None, ["relations", "--family", "standard", "--n", "4", "--bogus"]),
+        (None, []),
+        (None, ["--help"]),
+        ("1e-5", ["corank", "--family", "burau", "--n", "4"]),
+        ("1e-5", ["relations", "--family", "standard", "--n", "4", "--tol", "1e-6"]),
+        (None, ["gen", "--family", "standard", "--n", "3", "--out", str(out)]),
+        ("soft", ["relations", "--family", "standard", "--n", "3"]),
+        (None, ["corank", "--help"]),
+        (None, ["spectrum", "--family", "standard", "--n", "3", "--u", "2"]),
+        (None, ["corank", "--family", "standard", "--n", "x"]),
+        ("1e-7", ["relations", "--family", "burau", "--n", "5", "--u=-5/3",
+                  "--out", str(out)]),
+    ]
+
+    def call(argv):
+        code = cli.main(list(argv))
+        text = capsys.readouterr().out
+        written = out.read_text(encoding="utf-8") if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, text, written
+
+    for tol, argv in steps:
+        if tol is None:
+            monkeypatch.delenv("BRAIDREP_TOL", raising=False)
+        else:
+            monkeypatch.setenv("BRAIDREP_TOL", tol)
+        cached = call(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            fresh = call(argv)
+        assert cached == fresh, argv
+        assert cached[1] or cached[2]
+    assert cli._parser() is cli._parser()

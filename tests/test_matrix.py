@@ -680,3 +680,33 @@ def test_sparse_eliminations_match_sympy(data, domain):
     else:
         with pytest.raises(NotInvertible):
             m.inverse()
+
+
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(list(Domain)))
+def test_shift_matches_subtracting_a_scaled_identity(data, domain):
+    n = data.draw(st.integers(0, 5))
+    if domain is Domain.COMPLEX:
+        parts = data.draw(st.lists(_PARTS, min_size=2 * n * n, max_size=2 * n * n))
+        m = Mat(n, n, domain, [complex(a, b) for a, b in zip(parts[::2], parts[1::2])])
+        c = complex(data.draw(_PARTS), data.draw(_PARTS))
+    else:
+        m = data.draw(sparse_mats(domain, n, n))
+        # a diagonal entry as c zeroes it, a zero diagonal entry gains a value
+        diagonal = [m.at(i, i) for i in range(n)]
+        c = data.draw(st.sampled_from([0, 1, Fraction(-5, 3)] + diagonal))
+    got = m._shift(c)
+    want = m - Mat.identity(n, domain).scale(c)
+    if domain is Domain.COMPLEX:
+        assert np.array_equal(got.entries.view(float), want.entries.view(float))
+        assert np.array_equal(np.signbit(got.entries.view(float)),
+                              np.signbit(want.entries.view(float)))
+    else:
+        assert got.entries == want.entries
+        assert got._nz == recomputed_index(got)
+    with pytest.raises(ValueError):
+        Mat.zeros(n, n + 1, domain)._shift(c)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidrep.braid import BraidWord, theta_word
 from braidrep.errors import (
@@ -16,7 +18,7 @@ from braidrep.errors import (
     ZeroSubstitution,
 )
 from braidrep.laurent import LaurentPoly
-from braidrep.matrix import Domain, Mat
+from braidrep.matrix import DEFAULT_TOL, Domain, Mat, ops_for, relative_residual
 from braidrep.reps import (
     Rep,
     burau_rep,
@@ -276,3 +278,66 @@ def test_checked_rep_keeps_its_relation_report():
     assert json.dumps(report.to_json_dict()) == json.dumps(fresh.to_json_dict())
     other = check_braid_relations(rho, 1e-6)
     assert other is not report and other.tol == 1e-6
+
+
+@pytest.mark.parametrize("family", [standard_rep, burau_rep])
+@pytest.mark.parametrize("n", [2, 3, 12])
+def test_block_family_hands_over_its_nonzero_index(family, n):
+    for g in family(n).gens:
+        assert g._nz is not None
+        assert g._nz == Mat(n, n, Domain.LAURENT, g.entries)._nonzeros()
+
+
+def _dense_product(*mats: Mat) -> Mat:
+    out = mats[0]
+    for b in mats[1:]:
+        zero = ops_for(out.domain).zero
+        out = Mat(out.rows, b.cols, out.domain,
+                  [sum((out.at(i, p) * b.at(p, j) for p in range(out.cols)), zero)
+                   for i in range(out.rows) for j in range(b.cols)])
+    return out
+
+
+def _dense_relations(rho: Rep, tol: float) -> dict:
+    """Every relation as the residual of dense products: the reference for
+    the support rule of check_braid_relations."""
+    g, m = rho.gens, rho.strands
+    rels = [("adjacent", i, i + 1, _dense_product(g[i], g[i + 1], g[i]),
+             _dense_product(g[i + 1], g[i], g[i + 1])) for i in range(m - 2)]
+    rels += [("far", i, j, _dense_product(g[i], g[j]), _dense_product(g[j], g[i]))
+             for i in range(m - 1) for j in range(i + 2, m - 1)]
+    entries = [{"kind": kind, "i": i + 1, "j": j + 1, "residual": relative_residual(a, b)}
+               for kind, i, j, a, b in rels]
+    worst = max((e["residual"] for e in entries), default=0.0)
+    return {"domain": rho.domain.value, "tol": tol, "ok": worst == 0.0,
+            "max_residual": worst, "relations": entries}
+
+
+@st.composite
+def near_identity_reps(draw):
+    """Exact reps whose generators are I with up to two rows replaced by
+    sparse rows: supports overlap or not, a replaced row may be e_r again,
+    and a diagonal entry may become zero."""
+    domain = draw(st.sampled_from([Domain.RATIONAL, Domain.LAURENT]))
+    strands = draw(st.integers(4, 6))
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    values = [1, -1, 2, Fraction(1, 2)]
+    if domain is Domain.LAURENT:
+        values += [T, 1 - T]
+    zero = ops_for(domain).zero
+    gens = []
+    for _ in range(strands - 1):
+        rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+        for r in rng.sample(range(n), rng.randint(0, min(2, n))):
+            rows[r] = [zero] * n
+            for c in rng.sample(range(n), rng.randint(0, min(2, n))):
+                rows[r][c] = rng.choice(values)
+        gens.append(Mat.from_rows(rows, domain))
+    return Rep(strands, gens, check=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_identity_reps())
+def test_support_rule_matches_dense_relations(rho):
+    assert check_braid_relations(rho).to_json_dict() == _dense_relations(rho, DEFAULT_TOL)
