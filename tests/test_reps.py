@@ -30,6 +30,7 @@ from braidrep.reps import (
     specialize,
     standard_rep,
 )
+from test_matrix import dense_product
 
 T = LaurentPoly.t()
 
@@ -288,23 +289,13 @@ def test_block_family_hands_over_its_nonzero_index(family, n):
         assert g._nz == Mat(n, n, Domain.LAURENT, g.entries)._nonzeros()
 
 
-def _dense_product(*mats: Mat) -> Mat:
-    out = mats[0]
-    for b in mats[1:]:
-        zero = ops_for(out.domain).zero
-        out = Mat(out.rows, b.cols, out.domain,
-                  [sum((out.at(i, p) * b.at(p, j) for p in range(out.cols)), zero)
-                   for i in range(out.rows) for j in range(b.cols)])
-    return out
-
-
 def _dense_relations(rho: Rep, tol: float) -> dict:
     """Every relation as the residual of dense products: the reference for
     the support rule of check_braid_relations."""
     g, m = rho.gens, rho.strands
-    rels = [("adjacent", i, i + 1, _dense_product(g[i], g[i + 1], g[i]),
-             _dense_product(g[i + 1], g[i], g[i + 1])) for i in range(m - 2)]
-    rels += [("far", i, j, _dense_product(g[i], g[j]), _dense_product(g[j], g[i]))
+    rels = [("adjacent", i, i + 1, dense_product(dense_product(g[i], g[i + 1]), g[i]),
+             dense_product(dense_product(g[i + 1], g[i]), g[i + 1])) for i in range(m - 2)]
+    rels += [("far", i, j, dense_product(g[i], g[j]), dense_product(g[j], g[i]))
              for i in range(m - 1) for j in range(i + 2, m - 1)]
     entries = [{"kind": kind, "i": i + 1, "j": j + 1, "residual": relative_residual(a, b)}
                for kind, i, j, a, b in rels]
