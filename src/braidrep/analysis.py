@@ -174,20 +174,75 @@ def _reconstruct_rational(value: complex, verify) -> Fraction | None:
     return None
 
 
-def _eig_candidates(g: Mat, cluster_tol: float) -> list[tuple[object, int, bool, int | None]]:
+class _ShiftRank:
+    """rank(g - lam*I) for one square g: exact at an exact lam, and at a
+    complex lam rank_numeric of the shifted complex matrix at tol.
+
+    An exact g that Mat._split reads as c*I off a closed block S is ranked
+    on its principal submatrix over S | {k}, k one unmoved index, and
+    n - |S| - 1 is added when that submatrix counts the pivot c - lam at
+    (k, k).  g - lam*I is block-diagonal: its block on S, and the 1x1 blocks
+    c - lam at every other index.  Rank adds over blocks, so an exact rank
+    is the full matrix's.  Complete pivoting never mixes blocks either: a
+    pivot's row and column are zero off its block, so the elimination
+    leaves every other block's entries as they were, and each block is
+    reduced exactly as it would be alone until its largest remaining entry
+    is under the cutoff (up to which of two equal-magnitude pivots goes
+    first).  The submatrix holds c - lam and every nonzero entry of S, so
+    it has the full matrix's max-norm and rank_numeric applies the same
+    tol * scale cutoff, which counts the untouched pivot c - lam of every
+    1x1 block alike.
+    """
+
+    def __init__(self, g: Mat, tol: float = DEFAULT_TOL):
+        self.tol = tol
+        self.g = g
+        self.c = None
+        self.rest = 0
+        split = g._split() if g.domain is not Domain.COMPLEX else None
+        if split is not None:
+            self.c, _, block = split
+            k = next(r for r in range(g.rows) if r not in block)
+            idx = sorted((*block, k))
+            self.g = g._principal(idx)
+            self.k = idx.index(k)
+            self.rest = g.rows - len(idx)
+        self._complex = None
+
+    def exact(self, lam) -> int:
+        lam = ops_for(self.g.domain).coerce(lam)
+        r = rank_exact(self.g._shift(lam))
+        return r + self.rest if lam != self.c else r
+
+    def numeric(self, lam: complex) -> int:
+        if self._complex is None:
+            self._complex = self.g.to_complex()
+        m = self._complex._shift(complex(lam))
+        r = rank_numeric(m, self.tol)
+        if self.rest:
+            a = m.entries
+            if abs(a[self.k, self.k]) > self.tol * float(np.max(np.abs(a))):
+                r += self.rest
+        return r
+
+
+def _eig_candidates(g: Mat, cluster_tol: float,
+                    rank: _ShiftRank | None = None) -> list[tuple[object, int, bool, int | None]]:
     """Eigenvalues of a rational or complex matrix as (value, mult, exact,
     rank), rank being the exact rank of g - value*I for an exact value and
     None otherwise.
 
     Rational matrices get their rational eigenvalues verified exactly (the
     shifted matrix is singular), the rest stay floating.  Ordered by
-    _axis_key.
+    _axis_key.  rank, when given, is g's _ShiftRank.
     """
     clusters = eigen_numeric(g, cluster_tol)
+    if rank is None:
+        rank = _ShiftRank(g)
     ranks = {}
 
     def singular(f):
-        ranks[f] = rank_exact(g._shift(f))
+        ranks[f] = rank.exact(f)
         return ranks[f] < g.rows
 
     out = []
@@ -234,10 +289,11 @@ class CorankReport:
 
 
 def _corank_of_matrix(g: Mat, tol: float, cluster_tol: float):
+    rank = _ShiftRank(g, tol)
     table = []
-    for val, _, exact, r in _eig_candidates(g, cluster_tol):
+    for val, _, exact, r in _eig_candidates(g, cluster_tol, rank):
         if not exact:
-            r = rank_numeric(g.to_complex()._shift(complex(val)), tol)
+            r = rank.numeric(val)
         table.append((val, r, exact))
     # ties go to the smallest-magnitude eigenvalue, then the positive-axis
     # order so +sqrt(u) beats its negative twin at equal magnitude
@@ -253,6 +309,13 @@ def corank(rho: Rep, tol: float = DEFAULT_TOL,
     the Burau family scores 1, one-dimensional characters score 0.  Laurent
     representations are sampled at three fixed rational points which must
     agree; a spread of values raises GenericDisagreement.
+
+    An exact rho(s1) that equals c*I off a closed block S of indices (the
+    moved rows and their columns, c = y after a twist) is ranked on its
+    block: rho(s1) - y*I is block-diagonal, its block on S beside 1x1
+    blocks c - y, so its rank is that of the principal submatrix over S and
+    one unmoved index, plus n - |S| - 1 when that submatrix counts c - y
+    (see _ShiftRank).  Eigenvalues still come from the whole matrix.
     """
     g = rho.gen(1)
     if rho.domain is Domain.LAURENT:
@@ -1092,10 +1155,8 @@ class RankConclusion:
 def rank_conclusion_check(rho: Rep, y, tol: float = DEFAULT_TOL) -> RankConclusion:
     """Rank of rho(s1) - y*I, exact when both sides allow it."""
     exact = rho.domain is not Domain.COMPLEX and _is_exact_scalar_for(rho.domain, y)
-    if exact:
-        r = rank_exact(rho.gen(1)._shift(y))
-    else:
-        r = rank_numeric(rho.gen(1).to_complex()._shift(complex(y)), tol)
+    rank = _ShiftRank(rho.gen(1), tol)
+    r = rank.exact(y) if exact else rank.numeric(y)
     return RankConclusion(y, r, rho.degree, exact)
 
 

@@ -397,6 +397,68 @@ class Mat:
                 nz[i] = tuple(sorted(set(cols) ^ {i}))
         return Mat._trusted(n, n, self.domain, out, tuple(nz))
 
+    def _split(self):
+        """Read an exact square Mat as c*I off a closed block of indices.
+
+        Returns (c, moved, block), or None.  c wins a majority vote over the
+        rows that are a multiple x*e_r of a unit row, so it is the value the
+        unmoved rows share whenever they are most rows (c = y for a
+        generator of a twisted family).  moved is the set of rows other
+        than c*e_r, and block the ascending union of the moved rows and
+        their nonzero columns.  Every row in block then has its nonzeros in
+        block, and every row off it is c*e_r, so up to the order of the
+        indices g is block-diagonal, g = g[block] (+) c*I.  None when no row
+        is a multiple of e_r, or when block is every index.
+
+        A product, and so a braid relation, of such matrices is the product
+        of their blocks on the union of their blocks, beside a scalar;
+        rank adds over the blocks of g - lam*I; and complete pivoting never
+        mixes the blocks of a block-diagonal matrix, since a pivot's row and
+        column are zero off its own block.  check_braid_relations and
+        analysis.corank use this to work on the block alone.
+        """
+        e, n = self.entries, self.cols
+        nzs = self._nonzeros()
+        c, votes = None, 0
+        for r, cols in enumerate(nzs):
+            if cols == (r,):
+                x = e[r * n + r]
+                if not votes:
+                    c, votes = x, 1
+                else:
+                    votes += 1 if x is c or x == c else -1
+        if c is None:
+            return None
+        moved = set()
+        block = set()
+        for r, cols in enumerate(nzs):
+            if cols != (r,) or not (e[r * n + r] is c or e[r * n + r] == c):
+                moved.add(r)
+                block.update(cols)
+        block |= moved
+        if len(block) == n:
+            return None
+        return c, moved, tuple(sorted(block))
+
+    def _principal(self, idx: Sequence[int]) -> "Mat":
+        """The principal submatrix of an exact square Mat on the ascending
+        indices idx, with its nonzero index."""
+        pos = {r: p for p, r in enumerate(idx)}
+        k = len(idx)
+        e, n = self.entries, self.cols
+        nzs = self._nonzeros()
+        out = [_OPS[self.domain].zero] * (k * k)
+        nz = []
+        for p, r in enumerate(idx):
+            kept = []
+            for j in nzs[r]:
+                q = pos.get(j)
+                if q is not None:
+                    out[p * k + q] = e[r * n + j]
+                    kept.append(q)
+            nz.append(tuple(kept))
+        return Mat._trusted(k, k, self.domain, out, tuple(nz))
+
     def __mul__(self, s) -> "Mat":
         return self.scale(s)
 
@@ -918,7 +980,9 @@ def eigen_numeric(m: Mat, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[tupl
     vals = np.linalg.eigvals(a)
     thr = cluster_tol * max(float(np.max(np.abs(a))), 1e-300)
     n = len(vals)
-    # single-linkage components under the threshold relation
+    # single-linkage components under the threshold relation: every pairwise
+    # distance at once, then union-find over the close pairs, i < j ascending
+    dist = np.abs(vals[:, None] - vals)
     parent = list(range(n))
 
     def find(x):
@@ -927,19 +991,19 @@ def eigen_numeric(m: Mat, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[tupl
             x = parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= thr:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    rows, cols = (dist <= thr).nonzero()
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i < j:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     out = []
     for idxs in groups.values():
         pts = [vals[i] for i in idxs]
-        diam = max((abs(x - y) for x in pts for y in pts), default=0.0)
+        diam = float(dist.take(idxs, 0).take(idxs, 1).max()) if len(idxs) > 1 else 0.0
         if diam > thr:
             raise ClusterAmbiguous(
                 "eigenvalue chain of diameter %.3g straddles threshold %.3g" % (diam, thr)

@@ -710,3 +710,44 @@ def test_shift_matches_subtracting_a_scaled_identity(data, domain):
         assert got._nz == recomputed_index(got)
     with pytest.raises(ValueError):
         Mat.zeros(n, n + 1, domain)._shift(c)
+
+
+def _loop_clusters(m: Mat, cluster_tol: float):
+    """eigen_numeric's clustering as pairwise Python loops over the same
+    eigenvalues: the reference for its array form."""
+    vals = np.linalg.eigvals(m.as_numpy())
+    thr = cluster_tol * max(float(np.max(np.abs(m.as_numpy()))), 1e-300)
+    groups: list[list[int]] = []
+    for i in range(len(vals)):
+        near = [g for g in groups if any(abs(vals[i] - vals[j]) <= thr for j in g)]
+        merged = sorted([i] + [j for g in near for j in g])
+        groups = [g for g in groups if g not in near] + [merged]
+    out = []
+    for g in sorted(groups):
+        pts = [vals[i] for i in g]
+        diam = max(abs(x - y) for x in pts for y in pts)
+        if diam > thr:
+            return ClusterAmbiguous(
+                "eigenvalue chain of diameter %.3g straddles threshold %.3g" % (diam, thr))
+        out.append((complex(sum(pts) / len(pts)), len(pts)))
+    return sorted(out, key=lambda t: (t[0].real, t[0].imag))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0, 1, -1, 1j, 2 - 1j]),
+                          st.sampled_from([0, 4e-7, -7e-7, 1.2e-6, 1e-3, 3e-6j])),
+                min_size=1, max_size=9),
+       st.booleans())
+def test_eigen_numeric_matches_pairwise_loops(points, triangular):
+    vals = np.array([base + off for base, off in points], dtype=complex)
+    a = np.diag(vals)
+    if triangular:
+        a = a + np.triu(np.full(a.shape, 0.5 + 0.25j), 1)
+    m = Mat.from_numpy(a)
+    want = _loop_clusters(m, 1e-6)
+    if isinstance(want, ClusterAmbiguous):
+        with pytest.raises(ClusterAmbiguous) as err:
+            eigen_numeric(m, 1e-6)
+        assert str(err.value) == str(want)
+    else:
+        assert eigen_numeric(m, 1e-6) == want

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidrep import analysis
 from braidrep.braid import BraidWord, theta_word
 from braidrep.errors import (
+    ClusterAmbiguous,
+    GenericDisagreement,
     IndexOutOfRange,
     NotInvertible,
     RelationFailure,
@@ -18,7 +21,16 @@ from braidrep.errors import (
     ZeroSubstitution,
 )
 from braidrep.laurent import LaurentPoly
-from braidrep.matrix import DEFAULT_TOL, Domain, Mat, ops_for, relative_residual
+from braidrep.matrix import (
+    DEFAULT_TOL,
+    Domain,
+    Mat,
+    eigen_numeric,
+    ops_for,
+    rank_exact,
+    rank_numeric,
+    relative_residual,
+)
 from braidrep.reps import (
     Rep,
     burau_rep,
@@ -332,3 +344,94 @@ def near_identity_reps(draw):
 @given(near_identity_reps())
 def test_support_rule_matches_dense_relations(rho):
     assert check_braid_relations(rho).to_json_dict() == _dense_relations(rho, DEFAULT_TOL)
+
+
+@st.composite
+def split_reps(draw):
+    """Exact reps whose generators are c_i*I with some rows replaced by
+    sparse rows, c_i shared or not: a replaced row may reach columns of rows
+    left alone, every row may be replaced, and the adjacent relations mostly
+    fail.  Or the block families at a tie-prone or generic point, twisted by
+    y, with one generator's block sometimes rescaled."""
+    domain = draw(st.sampled_from([Domain.RATIONAL, Domain.LAURENT]))
+    strands = draw(st.integers(3, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    o = ops_for(domain)
+    if draw(st.booleans()):
+        family = draw(st.sampled_from([standard_rep, burau_rep]))
+        rho = family(strands)
+        if domain is Domain.RATIONAL:
+            rho = specialize(rho, draw(st.sampled_from([-1, 1, 2, Fraction(23, 7)])))
+        rho = character_twist(rho, draw(st.sampled_from([1, -1, 2, Fraction(1, 3)])))
+        gens = list(rho.gens)
+        if draw(st.booleans()):
+            k = rng.randrange(len(gens))
+            gens[k] = gens[k].scale(2)
+        return Rep(strands, gens, check=False)
+    n = draw(st.integers(1, 5))
+    values = [1, -1, 2, Fraction(1, 2)]
+    if domain is Domain.LAURENT:
+        values += [T, 1 - T]
+    shared = rng.choice([1, 2, Fraction(-1, 3)])
+    gens = []
+    for _ in range(strands - 1):
+        c = o.coerce(shared if rng.random() < 0.6 else rng.choice([1, 2, Fraction(-1, 3)]))
+        rows = [[c if r == k else o.zero for k in range(n)] for r in range(n)]
+        for r in rng.sample(range(n), min(n, rng.choice([0, 1, 1, 2, n]))):
+            rows[r] = [o.zero] * n
+            for k in rng.sample(range(n), rng.randint(0, min(3, n))):
+                rows[r][k] = o.coerce(rng.choice(values))
+        gens.append(Mat.from_rows(rows, domain))
+    return Rep(strands, gens, check=False)
+
+
+def _dense_corank(rho: Rep) -> dict:
+    """corank's report with every rank taken on the whole shifted matrix:
+    the reference for the block ranks of corank."""
+    def of_matrix(g: Mat):
+        n = g.rows
+        eye = Mat.identity(n, g.domain)
+        ranks = {}
+
+        def singular(f):
+            ranks[f] = rank_exact(g - eye.scale(f))
+            return ranks[f] < n
+
+        table = []
+        for c, _ in eigen_numeric(g):
+            val = analysis._reconstruct_rational(c, singular)
+            if val is not None:
+                table.append((val, ranks[val], True))
+            else:
+                shifted = g.to_complex() - Mat.identity(n, Domain.COMPLEX).scale(c)
+                table.append((c, rank_numeric(shifted), False))
+        table.sort(key=lambda t: analysis._axis_key(complex(t[0])))
+        best = min(table, key=lambda t: (t[1], abs(complex(t[0])), analysis._axis_key(complex(t[0]))))
+        return best, tuple(table)
+
+    g = rho.gen(1)
+    if rho.domain is Domain.LAURENT:
+        pts = analysis._sample_points()
+        results = [of_matrix(g.eval_at(u)) for u in pts]
+        if len({best[1] for best, _ in results}) != 1:
+            return {"error": "GenericDisagreement"}
+        (best, table), notes = results[0], analysis._generic_note(pts)
+    else:
+        (best, table), notes = of_matrix(g), ""
+    return analysis.CorankReport(rho.degree, rho.domain, best[1], best[0], best[2],
+                                 table, notes).to_json_dict()
+
+
+def _report_or_error(f, *args) -> dict:
+    try:
+        return f(*args)
+    except (GenericDisagreement, ClusterAmbiguous) as exc:
+        return {"error": type(exc).__name__}
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_reps())
+def test_block_split_matches_dense_relations_and_corank(rho):
+    assert check_braid_relations(rho).to_json_dict() == _dense_relations(rho, DEFAULT_TOL)
+    got = _report_or_error(lambda r: analysis.corank(r).to_json_dict(), rho)
+    assert got == _report_or_error(_dense_corank, rho)
