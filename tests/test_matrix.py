@@ -734,11 +734,12 @@ def _loop_clusters(m: Mat, cluster_tol: float):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from([0, 1, -1, 1j, 2 - 1j]),
-                          st.sampled_from([0, 4e-7, -7e-7, 1.2e-6, 1e-3, 3e-6j])),
+@given(st.lists(st.tuples(st.sampled_from([1, -1, 1j]),
+                          st.sampled_from([0, 0.8e-6, 1.6e-6, -0.7e-6, 3e-6j, 1e-3])),
                 min_size=1, max_size=9),
        st.booleans())
 def test_eigen_numeric_matches_pairwise_loops(points, triangular):
+    # unit bases keep the threshold near 1e-6, so the offsets make chains
     vals = np.array([base + off for base, off in points], dtype=complex)
     a = np.diag(vals)
     if triangular:

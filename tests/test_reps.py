@@ -303,7 +303,7 @@ def test_block_family_hands_over_its_nonzero_index(family, n):
 
 def _dense_relations(rho: Rep, tol: float) -> dict:
     """Every relation as the residual of dense products: the reference for
-    the support rule of check_braid_relations."""
+    the block split of check_braid_relations."""
     g, m = rho.gens, rho.strands
     rels = [("adjacent", i, i + 1, dense_product(dense_product(g[i], g[i + 1]), g[i]),
              dense_product(dense_product(g[i + 1], g[i]), g[i + 1])) for i in range(m - 2)]
@@ -317,42 +317,18 @@ def _dense_relations(rho: Rep, tol: float) -> dict:
 
 
 @st.composite
-def near_identity_reps(draw):
-    """Exact reps whose generators are I with up to two rows replaced by
-    sparse rows: supports overlap or not, a replaced row may be e_r again,
-    and a diagonal entry may become zero."""
-    domain = draw(st.sampled_from([Domain.RATIONAL, Domain.LAURENT]))
-    strands = draw(st.integers(4, 6))
-    n = draw(st.integers(1, 4))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    values = [1, -1, 2, Fraction(1, 2)]
-    if domain is Domain.LAURENT:
-        values += [T, 1 - T]
-    zero = ops_for(domain).zero
-    gens = []
-    for _ in range(strands - 1):
-        rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        for r in rng.sample(range(n), rng.randint(0, min(2, n))):
-            rows[r] = [zero] * n
-            for c in rng.sample(range(n), rng.randint(0, min(2, n))):
-                rows[r][c] = rng.choice(values)
-        gens.append(Mat.from_rows(rows, domain))
-    return Rep(strands, gens, check=False)
-
-
-@settings(max_examples=300, deadline=None)
-@given(near_identity_reps())
-def test_support_rule_matches_dense_relations(rho):
-    assert check_braid_relations(rho).to_json_dict() == _dense_relations(rho, DEFAULT_TOL)
-
-
-@st.composite
 def split_reps(draw):
-    """Exact reps whose generators are c_i*I with some rows replaced by
-    sparse rows, c_i shared or not: a replaced row may reach columns of rows
-    left alone, every row may be replaced, and the adjacent relations mostly
-    fail.  Or the block families at a tie-prone or generic point, twisted by
-    y, with one generator's block sometimes rescaled."""
+    """Exact reps of two kinds.
+
+    Generators c_i*I with some rows replaced by sparse rows, c_i shared or
+    not: supports overlap or not, a replaced row may be c*e_r again or reach
+    columns of rows left alone, a diagonal entry may become zero, every row
+    may be replaced, and the adjacent relations mostly fail.
+
+    The block families, at u = -1 (eigenvalues +-i, ties of magnitude 1),
+    u = 1 (an eigenvalue equal to c) or a generic u, twisted by y, with
+    one generator sometimes doubled so that its c differs from its
+    neighbours'."""
     domain = draw(st.sampled_from([Domain.RATIONAL, Domain.LAURENT]))
     strands = draw(st.integers(3, 6))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
