@@ -179,26 +179,21 @@ class _ShiftRank:
     complex lam rank_numeric of the shifted complex matrix at tol.
 
     An exact g that Mat._split reads as c*I off a closed block S is ranked
-    on its principal submatrix over S | {k}, k one unmoved index, and
-    n - |S| - 1 is added when that submatrix counts the pivot c - lam at
-    (k, k).  g - lam*I is block-diagonal: its block on S, and the 1x1 blocks
-    c - lam at every other index.  Rank adds over blocks, so an exact rank
-    is the full matrix's.  Complete pivoting never mixes blocks either: a
-    pivot's row and column are zero off its block, so the elimination
-    leaves every other block's entries as they were, and each block is
-    reduced exactly as it would be alone until its largest remaining entry
-    is under the cutoff (up to which of two equal-magnitude pivots goes
-    first).  The submatrix holds c - lam and every nonzero entry of S, so
-    it has the full matrix's max-norm and rank_numeric applies the same
-    tol * scale cutoff, which counts the untouched pivot c - lam of every
-    1x1 block alike.
+    on its principal submatrix over S and one unmoved index k, adding
+    n - |S| - 1 when that submatrix counts the pivot c - lam at (k, k).
+    g - lam*I is block-diagonal, its block on S beside the 1x1 blocks
+    c - lam, and rank adds over blocks, so exact ranks agree.  Complete
+    pivoting never mixes blocks: a pivot's row and column are zero off its
+    block, so each block is reduced as it would be alone, up to the order
+    of equal-magnitude pivots, and the untouched pivots c - lam count alike.
+    The submatrix has the full matrix's max-norm, so rank_numeric applies the
+    same tol * scale cutoff.
     """
 
     def __init__(self, g: Mat, tol: float = DEFAULT_TOL):
         self.tol = tol
-        self.g = g
-        self.c = None
-        self.rest = 0
+        self.g, self.c, self.k, self.rest = g, None, None, 0
+        self._complex = None
         split = g._split() if g.domain is not Domain.COMPLEX else None
         if split is not None:
             self.c, _, block = split
@@ -207,7 +202,6 @@ class _ShiftRank:
             self.g = g._principal(idx)
             self.k = idx.index(k)
             self.rest = g.rows - len(idx)
-        self._complex = None
 
     def exact(self, lam) -> int:
         lam = ops_for(self.g.domain).coerce(lam)
@@ -310,12 +304,10 @@ def corank(rho: Rep, tol: float = DEFAULT_TOL,
     representations are sampled at three fixed rational points which must
     agree; a spread of values raises GenericDisagreement.
 
-    An exact rho(s1) that equals c*I off a closed block S of indices (the
-    moved rows and their columns, c = y after a twist) is ranked on its
-    block: rho(s1) - y*I is block-diagonal, its block on S beside 1x1
-    blocks c - y, so its rank is that of the principal submatrix over S and
-    one unmoved index, plus n - |S| - 1 when that submatrix counts c - y
-    (see _ShiftRank).  Eigenvalues still come from the whole matrix.
+    An exact rho(s1) equal to c*I off a closed block S (c = y after a
+    twist) makes rho(s1) - y*I block-diagonal, so each rank is taken on S
+    and one unmoved index (_ShiftRank); eigenvalues still come from the
+    whole matrix.
     """
     g = rho.gen(1)
     if rho.domain is Domain.LAURENT:

@@ -398,24 +398,18 @@ class Mat:
         return Mat._trusted(n, n, self.domain, out, tuple(nz))
 
     def _split(self):
-        """Read an exact square Mat as c*I off a closed block of indices.
+        """Read an exact square Mat as c*I off a closed block of indices:
+        (c, moved, block), or None when no row is a multiple of a unit row
+        e_r or when block is every index.
 
-        Returns (c, moved, block), or None.  c wins a majority vote over the
-        rows that are a multiple x*e_r of a unit row, so it is the value the
-        unmoved rows share whenever they are most rows (c = y for a
-        generator of a twisted family).  moved is the set of rows other
-        than c*e_r, and block the ascending union of the moved rows and
-        their nonzero columns.  Every row in block then has its nonzeros in
-        block, and every row off it is c*e_r, so up to the order of the
-        indices g is block-diagonal, g = g[block] (+) c*I.  None when no row
-        is a multiple of e_r, or when block is every index.
-
-        A product, and so a braid relation, of such matrices is the product
-        of their blocks on the union of their blocks, beside a scalar;
-        rank adds over the blocks of g - lam*I; and complete pivoting never
-        mixes the blocks of a block-diagonal matrix, since a pivot's row and
-        column are zero off its own block.  check_braid_relations and
-        analysis.corank use this to work on the block alone.
+        c wins a majority vote among the rows x*e_r, so it is the value the
+        unmoved rows share when they are most rows (c = y after a twist).
+        moved holds the rows other than c*e_r, and block, ascending, the
+        moved rows and their nonzero columns.  Every row in block has its
+        nonzeros in block and every other row is c*e_r, so the matrix is
+        block-diagonal: its submatrix on block beside c*I.  Products of such
+        matrices are products of their blocks on the union of the blocks
+        beside a scalar, and rank adds over blocks.
         """
         e, n = self.entries, self.cols
         nzs = self._nonzeros()

@@ -353,23 +353,20 @@ def check_braid_relations(rho: Rep, tol: float = DEFAULT_TOL) -> RelationReport:
     domains must come out identically zero.  A representation checked on
     construction keeps its report, which is returned again for the same tol.
 
-    Exact generators are first read by Mat._split as g = c*I (+) G, G the
-    block of g on an index set S, which holds the moved rows (those other
-    than c*e_r) and their nonzero columns.
-      - Far pair, supports: D = g - c*I is nonzero in the moved rows and the
-        columns of S only, and scalars commute, so g_i g_j - g_j g_i =
-        D_i D_j - D_j D_i.  A term D_i[a, k] D_j[k, b] needs k in S_i and
-        among the moved rows of g_j.  When neither S_i meets those nor S_j
-        the moved rows of g_i, both products vanish and the residual is 0.0.
-      - Any pair, blocks: on U = S_i | S_j both generators are
-        block-diagonal, with c*I off U, so each side of a relation is the
-        same word in the U blocks (+) a scalar off U: c_i c_j on both sides
-        of a far relation, c_i^2 c_{i+1} and c_i c_{i+1}^2 on the two sides
-        of an adjacent one.  When those scalars agree (c_i = c_{i+1} for an
-        adjacent pair) the relation holds exactly when it holds on the U
-        blocks, which are compared exactly; a match has residual 0.0.
-    Every other relation, and every relation that fails, is multiplied out
-    in full, so its residual is the dense one.
+    Mat._split reads an exact generator as c*I off a closed block S, the
+    moved rows (those other than c*e_r) and their nonzero columns.
+      - Far pair, supports: g = c*I + D with D in the moved rows and the
+        columns of S, and scalars commute, so g_i g_j - g_j g_i =
+        D_i D_j - D_j D_i.  When S_i misses the moved rows of g_j and S_j
+        those of g_i, both products vanish: residual 0.0.
+      - Any pair, blocks: both generators are block-diagonal on U = S_i | S_j
+        and its complement, so each side of a relation is the same word in
+        the U blocks beside a scalar: c_i c_j on both sides of a far pair,
+        c_i^2 c_{i+1} and c_i c_{i+1}^2 for an adjacent one.  When those
+        agree (c_i = c_{i+1}) the relation holds exactly when it holds on
+        the U blocks; a match has residual 0.0.
+    Every other relation, failing ones included, is multiplied out in full,
+    so its residual is the dense one.
     """
     if rho._relations is not None and rho._relations.tol == tol:
         return rho._relations
