@@ -33,6 +33,15 @@ seeds and operators are rational matrices divided by their content, so
 coprime integer arrays, and its echelon basis holds primitive integer rows
 reduced by fraction-free (Bareiss) steps, never a Fraction.
 
+A complex spin screens each generation's products in blocks before any of
+them is inserted: one stacked matmul forms them, and each is normalised and
+projected twice off the current orthonormal basis.  A residual of at most a
+tenth of the basis tolerance can only shrink against the larger basis that
+insert would see, so such a product would be rejected and is skipped; every
+other product is formed again and inserted one at a time, in the unscreened
+order.  The basis, the generation counts and every decision are those of
+the one-at-a-time spin.
+
 Norton's test certifies irreducibility, and so a full span by Burnside's
 theorem, or declines; it never reports a reducible module.  _norton picks
 the test from the input's domain: exact over the rationals (Holt and Rees,
@@ -456,10 +465,18 @@ def _spin(seeds: list, ops: list, basis, limit: int,
     Elements are object arrays of Python ints for an _EchelonBasis and
     complex arrays for an _OrthoBasis, each scaled before it is inserted.
     Runs one generation at a time: the next frontier is the products of the
-    current one that enlarged the basis.  Stops when the frontier is empty or basis.dim reaches limit,
-    checked after each frontier element.  Returns the number of generations;
-    ClosureDiverged when more than max_generations would run.
+    current one that enlarged the basis, tried in frontier order and, for
+    each element, in ops order.  Stops when the frontier is empty or
+    basis.dim reaches limit, checked after each frontier element.  Returns
+    the number of generations; ClosureDiverged when more than
+    max_generations would run.
+
+    An exact spin inserts every product.  A complex spin screens the
+    products of a generation in blocks first (_screened_generation) and
+    inserts only those that can still grow the basis: the others would be
+    rejected, so the basis gets the same columns in the same order.
     """
+    grow = _screened_generation if isinstance(basis, _OrthoBasis) else _generation
     frontier = [x for x in map(_scaled, seeds) if basis.insert(x)]
     generations = 0
     while frontier and basis.dim < limit:
@@ -467,16 +484,90 @@ def _spin(seeds: list, ops: list, basis, limit: int,
         if max_generations is not None and generations > max_generations:
             raise ClosureDiverged(
                 "span closure still growing after %d generations" % max_generations)
-        nxt = []
-        for w in frontier:
-            for g in ops:
-                x = _scaled(g @ w)
-                if basis.insert(x):
-                    nxt.append(x)
-            if basis.dim >= limit:
-                break
-        frontier = nxt
+        frontier = grow(frontier, ops, basis, limit)
     return generations
+
+
+def _generation(frontier: list, ops: list, basis, limit: int) -> list:
+    """One generation of an exact spin: every product inserted in turn."""
+    nxt = []
+    for w in frontier:
+        for g in ops:
+            x = _scaled(g @ w)
+            if basis.insert(x):
+                nxt.append(x)
+        if basis.dim >= limit:
+            break
+    return nxt
+
+
+# Upper bound on the bytes of one block of screened products, unless one
+# product alone is larger.  The closure spins degree^2-long elements under
+# 2(strands - 1) operators, so a whole generation's products would take tens
+# of megabytes at degree 20, and a block of a megabyte added more than a tenth
+# to the closure's peak resident memory there.
+_SCREEN_BYTES = 1 << 18
+
+
+def _screened_generation(frontier: list, ops: list, basis: _OrthoBasis,
+                         limit: int) -> list:
+    """One generation of a complex spin, as _generation would run it, with
+    the products that cannot grow the basis screened out in blocks.
+
+    A block holds the products of as many frontier elements as fit in
+    _SCREEN_BYTES, or of one element and a range of ops, formed by one
+    stacked matmul, each normalised and projected twice off the basis
+    columns, as insert does.  A product whose residual r is at most
+    basis.tol / 10 is skipped.  insert would measure it against a basis
+    that contains this one, and the residual of a unit vector can only
+    shrink as the subspace grows, so there it would read at most r plus a
+    rounding error near 1e-15; insert rejects at basis.tol >= 1e-12, so it
+    would reject the product.  Every other product takes the unscreened
+    path, in the same order: g @ w is formed again on its own, scaled and
+    handed to insert, which decides.  After each accepted product, its
+    basis column is projected out of the residuals still pending, which
+    re-screens them.  Zero and non-finite products are never skipped.  So
+    the basis gets bit-for-bit the columns _generation would give it.
+    """
+    stacked = np.stack(ops)
+    m, size = len(ops), frontier[0].size
+    rows = max(1, _SCREEN_BYTES // (16 * size))  # products per block
+    step, span = max(1, rows // m), min(m, rows)  # frontier elements, ops
+    floor = basis.tol / 10
+    nxt = []
+    for k0 in range(0, len(frontier), step):
+        chunk = frontier[k0:k0 + step]
+        w = np.stack([x.reshape(len(x), -1) for x in chunk])[:, None]
+        for i0 in range(0, m, span):
+            i1 = min(i0 + span, m)
+            p = np.matmul(stacked[i0:i1], w).reshape(-1, size)
+            norms = np.linalg.norm(p, axis=1)
+            finite = np.isfinite(norms) & (norms > 0)
+            p[~finite] = 0
+            p /= np.where(finite, norms, 1.0)[:, None]
+            q = basis.q[:, :basis.dim]
+            for _ in range(2):  # each row x -= Q Q^H x, as insert projects
+                np.conjugate(p, out=p)  # in place: a copy would double the block
+                h = p @ q
+                np.conjugate(p, out=p)
+                p -= h.conj() @ q.T
+            r = np.linalg.norm(p, axis=1)
+            j = -1
+            for x in chunk:
+                for g in ops[i0:i1]:
+                    j += 1
+                    if finite[j] and r[j] <= floor:
+                        continue
+                    y = _scaled(g @ x)
+                    if basis.insert(y):
+                        nxt.append(y)
+                        new = basis.q[:, basis.dim - 1]
+                        rest = p[j + 1:]
+                        rest -= np.outer(rest @ new.conj(), new)
+                        r[j + 1:] = np.linalg.norm(rest, axis=1)
+                if i1 == m and basis.dim >= limit:
+                    return nxt
+    return nxt
 
 
 def _image_span(gens: list[Mat], degree: int, domain: Domain, tol: float,

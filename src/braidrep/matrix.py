@@ -622,10 +622,17 @@ class Mat:
     # -- linear algebra (delegates) -----------------------------------------
 
     def det(self):
+        """The determinant: numpy's for COMPLEX, else Bareiss elimination.
+        An exact Mat that _split reads as c*I beside a block is
+        block-diagonal, so its determinant is det(block) * c^(n - |block|)."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         if self.domain is Domain.COMPLEX:
             return complex(np.linalg.det(self.as_numpy()))
+        split = self._split()
+        if split is not None:
+            c, _, block = split
+            return self._principal(block).det() * c ** (self.rows - len(block))
         o = _OPS[self.domain]
         if self.rows == 0:
             return o.one

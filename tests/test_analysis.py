@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import braidrep.classification as classify_mod
 from braidrep import analysis
 from braidrep.analysis import (
     burnside_dimension,
@@ -21,7 +22,9 @@ from braidrep.analysis import (
     subgroup_line_witness,
     theta_cycle_audit,
 )
+from braidrep.classification import classify
 from braidrep.errors import (
+    BraidRepError,
     ClosureDiverged,
     GenericDisagreement,
     NotEigenvalue,
@@ -34,6 +37,7 @@ from braidrep.matrix import (
     Mat,
     _poly_mul,
     charpoly,
+    eigen_numeric,
     nullspace,
     ops_for,
     poly_eval_matrix,
@@ -43,9 +47,12 @@ from braidrep.reps import (
     burau_rep,
     character_rep,
     character_twist,
+    rep_from_json,
     specialize,
     standard_rep,
 )
+from test_classify import hidden_model
+from test_golden import GOLDEN, HIDDEN
 
 
 def direct_sum(r1: Rep, r2: Rep) -> Rep:
@@ -531,6 +538,117 @@ def test_ortho_basis_matches_loop_gram_schmidt():
     q, r = np.array(basis.vectors()).T, np.array(ref).T
     assert np.allclose(q.conj().T @ q, np.eye(dim), atol=1e-12)
     assert np.allclose(q @ q.conj().T, r @ r.conj().T, atol=1e-12)
+
+
+def _loop_spin(seeds, ops, basis, limit, max_generations=None):
+    # reference: the complex spin with every product inserted in turn
+    frontier = [x for x in map(analysis._scaled, seeds) if basis.insert(x)]
+    generations = 0
+    while frontier and basis.dim < limit:
+        generations += 1
+        if max_generations is not None and generations > max_generations:
+            raise ClosureDiverged("past %d generations" % max_generations)
+        nxt = []
+        for w in frontier:
+            for g in ops:
+                x = analysis._scaled(g @ w)
+                if basis.insert(x):
+                    nxt.append(x)
+            if basis.dim >= limit:
+                break
+        frontier = nxt
+    return generations
+
+
+def _complex_spins(monkeypatch, run):
+    """The complex spins run() starts, as (seeds, ops, tol, limit,
+    max_generations)."""
+    calls, spin = [], analysis._spin
+
+    def record(seeds, ops, basis, limit, max_generations=None):
+        if isinstance(basis, analysis._OrthoBasis):
+            calls.append((seeds, ops, basis.tol, limit, max_generations))
+        return spin(seeds, ops, basis, limit, max_generations)
+
+    monkeypatch.setattr(analysis, "_spin", record)
+    monkeypatch.setattr(classify_mod, "_spin", record)
+    try:
+        run()
+    except BraidRepError:
+        pass
+    monkeypatch.undo()
+    return calls
+
+
+def _spin_outcome(spin, call):
+    seeds, ops, tol, limit, max_generations = call
+    basis = analysis._OrthoBasis(tol)
+    try:
+        generations = spin(seeds, ops, basis, limit, max_generations)
+    except ClosureDiverged:
+        generations = "diverged"
+    return generations, basis.dim, basis.q[:, :basis.dim].view(float)
+
+
+def _spin_cases():
+    twist = 1.3 + 0.4j
+    cases = []
+    for n in range(4, 10):
+        for u in (0.003, 0.1, 1.0):
+            cases.append(("burnside", "standard", n, u))
+    for u in (-0.003, 0.0018 + 0.0024j, 0.01, -0.05 + 0.02j):
+        cases.append(("burnside", "standard", 9, u))
+    cases.append(("diverged", "standard", 9, 0.05 + 0.02j))
+    for family, n, u in (("standard", 5, 0.003), ("standard", 9, -1.4 + 1.1j),
+                         ("standard", 12, 0.7 - 0.2j), ("burau", 7, 2.5)):
+        cases.append(("norton", family, n, u))
+    cases += [("burnside", "burau", 7, 2.5), ("search", "burau", 6, 2.5),
+              ("search", "standard", 6, 1.0)]
+    cases += [("graph", 9, 3.0, 4.0), ("graph", 9, 1.0, 1.0)]
+    cases += [("classify", name) for name in sorted(HIDDEN)]
+    cases += [("classify", 9, twist, 0.05 + 0.02j, 21), ("classify", 12, twist, -2.5, 22)]
+    return cases
+
+
+def _spin_run(case, tol):
+    kind = case[0]
+    if kind == "classify":
+        if isinstance(case[1], str):
+            data = json.loads((GOLDEN / (case[1] + ".rep.json")).read_text(encoding="utf-8"))
+            rho = rep_from_json(data)
+        else:
+            rho = hidden_model(*case[1:])
+        return lambda: classify(rho, tol)
+    if kind == "graph":  # spins that decline: different u, a reducible pair
+        a, b = (character_twist(specialize(standard_rep(case[1]), complex(u)), 2.0)
+                for u in case[2:])
+        return lambda: classify_mod._graph_intertwiner(
+            a, b, eigen_numeric(a.gen(1)), eigen_numeric(b.gen(1)), tol)
+    _, family, n, u = case
+    rho = character_twist(specialize(
+        (standard_rep if family == "standard" else burau_rep)(n), complex(u)), 1.3 + 0.4j)
+    return {
+        "burnside": lambda: burnside_dimension(rho, tol),
+        "diverged": lambda: burnside_dimension(rho, tol, max_generations=3),
+        "norton": lambda: analysis._norton(rho, tol),
+        "search": lambda: invariant_subspace_search(rho, tries=3, tol=tol),
+    }[kind]
+
+
+@pytest.mark.parametrize("case", _spin_cases(), ids=str)
+def test_screened_spin_matches_loop_spin(monkeypatch, case):
+    for tol in (1e-12, 1e-9, 1e-6):
+        calls = _complex_spins(monkeypatch, _spin_run(case, tol))
+        assert calls
+        for call in calls:
+            ref = _spin_outcome(_loop_spin, call)
+            # one byte: each block holds a single product
+            for block in (analysis._SCREEN_BYTES, 1):
+                with monkeypatch.context() as mp:
+                    mp.setattr(analysis, "_SCREEN_BYTES", block)
+                    got = _spin_outcome(analysis._spin, call)
+                assert got[:2] == ref[:2], (tol, block)
+                assert np.array_equal(got[2], ref[2]), (tol, block)
 
 
 # ---------------------------------------------------------------------------

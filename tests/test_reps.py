@@ -26,6 +26,7 @@ from braidrep.matrix import (
     Domain,
     Mat,
     eigen_numeric,
+    _fraction_free,
     ops_for,
     rank_exact,
     rank_numeric,
@@ -411,3 +412,22 @@ def test_block_split_matches_dense_relations_and_corank(rho):
     assert check_braid_relations(rho).to_json_dict() == _dense_relations(rho, DEFAULT_TOL)
     got = _report_or_error(lambda r: analysis.corank(r).to_json_dict(), rho)
     assert got == _report_or_error(_dense_corank, rho)
+
+
+def _bareiss_det(g: Mat):
+    """The determinant by fraction-free elimination of the whole matrix:
+    the reference for det on a split matrix."""
+    o = ops_for(g.domain)
+    if g.rows == 0:
+        return o.one
+    pivots, last, sign = _fraction_free(g._row_maps(), g.cols, o, False)
+    if len(pivots) < g.rows:
+        return o.zero
+    return last if sign > 0 else -last
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_reps())
+def test_split_det_matches_bareiss(rho):
+    for g in rho.gens:
+        assert g.det() == _bareiss_det(g)
