@@ -472,9 +472,12 @@ def _spin(seeds: list, ops: list, basis, limit: int,
     max_generations would run.
 
     An exact spin inserts every product.  A complex spin screens the
-    products of a generation in blocks first (_screened_generation) and
-    inserts only those that can still grow the basis: the others would be
-    rejected, so the basis gets the same columns in the same order.
+    products of a generation in blocks first (_screened_generation): a
+    product whose residual off the basis is at most basis.tol / 10 is
+    skipped, since against the larger basis insert would measure it the
+    residual can only be smaller, and insert rejects at basis.tol.  Every
+    other product is inserted as before, in the same order, so the basis
+    gets the same columns and every decision and count stays the same.
     """
     grow = _screened_generation if isinstance(basis, _OrthoBasis) else _generation
     frontier = [x for x in map(_scaled, seeds) if basis.insert(x)]

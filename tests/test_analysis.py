@@ -590,8 +590,11 @@ def _spin_outcome(spin, call):
     return generations, basis.dim, basis.q[:, :basis.dim].view(float)
 
 
+_TWIST = 1.3 + 0.4j
+
+
 def _spin_cases():
-    twist = 1.3 + 0.4j
+    # the complex 0.003 <= |u| <= 0.1 points put decisions near tol
     cases = []
     for n in range(4, 10):
         for u in (0.003, 0.1, 1.0):
@@ -606,7 +609,7 @@ def _spin_cases():
               ("search", "standard", 6, 1.0)]
     cases += [("graph", 9, 3.0, 4.0), ("graph", 9, 1.0, 1.0)]
     cases += [("classify", name) for name in sorted(HIDDEN)]
-    cases += [("classify", 9, twist, 0.05 + 0.02j, 21), ("classify", 12, twist, -2.5, 22)]
+    cases += [("classify", 9, _TWIST, 0.05 + 0.02j, 21), ("classify", 12, _TWIST, -2.5, 22)]
     return cases
 
 
@@ -626,7 +629,7 @@ def _spin_run(case, tol):
             a, b, eigen_numeric(a.gen(1)), eigen_numeric(b.gen(1)), tol)
     _, family, n, u = case
     rho = character_twist(specialize(
-        (standard_rep if family == "standard" else burau_rep)(n), complex(u)), 1.3 + 0.4j)
+        (standard_rep if family == "standard" else burau_rep)(n), complex(u)), _TWIST)
     return {
         "burnside": lambda: burnside_dimension(rho, tol),
         "diverged": lambda: burnside_dimension(rho, tol, max_generations=3),
