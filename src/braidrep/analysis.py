@@ -19,7 +19,8 @@ The functions here answer questions about a single representation:
   jordan_projection      column space of minpoly(M)/(X - lam) evaluated at M;
                          its dimension counts the maximal Jordan blocks of lam
   subgroup_invariance_check  whether chosen generators map a subspace into itself
-  invariant_subspace_search  randomized search for a proper invariant subspace
+  invariant_subspace_search  randomized search for a proper invariant subspace,
+                         complex ones verified by subgroup_invariance_check
 
 burnside_dimension, Norton's test (_norton) and invariant_subspace_search
 run on one spin kernel, _spin: it closes the span of some seed elements under
@@ -43,12 +44,19 @@ order.  The basis, the generation counts and every decision are those of
 the one-at-a-time spin.
 
 Norton's test certifies irreducibility, and so a full span by Burnside's
-theorem, or declines; it never reports a reducible module.  _norton picks
-the test from the input's domain: exact over the rationals (Holt and Rees,
-1994), at the three sample points for Laurent input, numeric over the
-complex numbers.  The irreducible command and classify both run it first.
-The span closure stays the measure of the span dimension and decides every
-input the test declines.
+theorem.  When one of its spins stops short, the spun subspace, or the
+annihilator of the dual one, is invariant, and the test returns it as a
+witness: exact over the rationals, and over the complex numbers only when
+subgroup_invariance_check holds it to a tenth of the tolerance.  _norton
+picks the test from the input's domain: exact over the rationals (Holt and
+Rees, 1994), at the three sample points for Laurent input, where it gives
+no witness, numeric over the complex numbers.
+
+_irreducibility is the one rule that the irreducible command and classify
+share.  A certificate or a witness from Norton's test decides.  The span
+closure decides only what the test declines without a witness, and a short
+complex span, which can under-count, stands only beside a verified witness
+from invariant_subspace_search; otherwise IrreducibilityUndecided.
 
 Exact domains are kept exact wherever eigenvalues are rational; everything
 else runs on the complexification with max-norm residual reporting.  Laurent
@@ -71,6 +79,7 @@ from .errors import (
     ClosureDiverged,
     ClusterAmbiguous,
     GenericDisagreement,
+    IrreducibilityUndecided,
     NotEigenvalue,
     NotInvertible,
     NotScalar,
@@ -615,52 +624,111 @@ def burnside_dimension(rho: Rep, tol: float = DEFAULT_TOL,
     return BurnsideReport(rho.degree, rho.domain, dim, generations)
 
 
+def _irreducibility(rho: Rep, closure, tol: float = DEFAULT_TOL,
+                    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+                    max_generations: int | None = None, measure: bool = False
+                    ) -> tuple[BurnsideReport | None, InvariantSubspaceReport | None]:
+    """The one irreducibility rule of the irreducible command and classify,
+    as (span report, witness): irreducible when the witness is None and
+    the report is full, reducible otherwise.
+
+    Norton's test runs first.  Its certificate stands: (certificate, None).
+    Its verified witness decides reducible without the closure, (None,
+    witness), unless measure asks for the span dimension: (closure(),
+    witness).  Only when the test declines without a witness does the span
+    closure decide.  A full span, or a short exact one, is the verdict:
+    (span, None).  A short complex span may under-count, as it does near
+    u = 0, so it stands only beside a verified witness from
+    invariant_subspace_search; without one, and for a full complex span
+    beside Norton's witness, IrreducibilityUndecided.
+
+    closure takes no arguments and runs the caller's own span closure, so
+    each module reaches burnside_dimension through its own name.
+    """
+    witness = _norton(rho, tol, cluster_tol, max_generations)
+    if isinstance(witness, BurnsideReport):
+        return witness, None
+    if witness is not None and not measure:
+        return None, witness
+    span = closure()
+    if witness is None and not span.full and rho.domain is Domain.COMPLEX:
+        witness = invariant_subspace_search(rho, tol=tol, cluster_tol=cluster_tol)
+        if not witness.found:
+            raise IrreducibilityUndecided(
+                "complex image span has dimension %d of %d, and no invariant"
+                " subspace passed the invariance check" % (span.dimension, rho.degree ** 2))
+    if witness is not None and span.full:
+        raise IrreducibilityUndecided(
+            "image span is full, beside an invariant subspace of dimension %d"
+            % witness.dim)
+    return span, witness
+
+
 def _norton(rho: Rep, tol: float = DEFAULT_TOL,
             cluster_tol: float = DEFAULT_CLUSTER_TOL,
-            max_generations: int | None = None) -> BurnsideReport | None:
-    """Norton's irreducibility test in rho's own domain, or None.
+            max_generations: int | None = None
+            ) -> BurnsideReport | InvariantSubspaceReport | None:
+    """Norton's irreducibility test in rho's own domain: a certificate, a
+    witness, or None.
 
     A COMPLEX rep runs the numeric test, a RATIONAL one the exact test
     (_exact_norton), and a LAURENT one the exact test at the three fixed
     sample points, all of which must certify.  Returns the full report,
-    with the spins' largest generation count, or None whenever the test does
-    not certify, a spin past max_generations included: it never reports a
-    reducible module.
+    with the spins' largest generation count, when the test certifies.
+    When a spin stops short of the degree, the subspace it spun, or for
+    the dual spin that subspace's annihilator, is invariant: it comes back
+    as a found InvariantSubspaceReport, exact for RATIONAL input, and for
+    COMPLEX input only once _checked verifies it.  Returns None otherwise,
+    a spin past max_generations included, and for any short spin of
+    LAURENT input: a subspace at one sample point is not one of the family.
     """
+    notes = ""
     if rho.domain is Domain.COMPLEX:
-        return _complex_norton(rho, tol, cluster_tol, max_generations)
-    if rho.domain is Domain.RATIONAL:
-        points, notes = [list(rho.gens)], ""
+        generations = [_complex_norton(rho, tol, cluster_tol, max_generations)]
+    elif rho.domain is Domain.RATIONAL:
+        generations = [_exact_norton(list(rho.gens), max_generations)]
     else:
         pts = _sample_points()
-        points = ([m.eval_at(u) for m in rho.gens] for u in pts)
-        notes = _generic_note(pts)
-    generations = []
-    for gens in points:
-        generations.append(_exact_norton(gens, max_generations))
-        if generations[-1] is None:
-            return None
+        generations, notes = [], _generic_note(pts)
+        for u in pts:
+            generations.append(_exact_norton([m.eval_at(u) for m in rho.gens],
+                                             max_generations))
+            if not isinstance(generations[-1], int):
+                return None
+    if isinstance(generations[-1], InvariantSubspaceReport):
+        return _checked(rho, generations[-1], tol)
+    if generations[-1] is None:
+        return None
     n = rho.degree
     return BurnsideReport(n, rho.domain, n * n, max(generations), notes, "norton")
 
 
-def _full_spins(spins, n: int, max_generations: int | None) -> int | None:
-    """Spin each (seed, ops, basis): the largest generation count when every
-    spin reaches dimension n within max_generations, else None."""
+def _full_spins(spins, n: int, max_generations: int | None
+                ) -> int | InvariantSubspaceReport | None:
+    """Spin each (seed, ops, basis) in turn, the kernel spin and then the
+    dual one.  Returns the largest generation count when every spin
+    reaches dimension n; the unverified witness of the first spin that
+    stops short, its spun subspace for the kernel spin and the annihilator
+    of it for the dual spin; None when a spin runs past max_generations."""
     generations = []
-    for seed, ops, basis in spins:
+    for k, (seed, ops, basis) in enumerate(spins):
         try:
             generations.append(_spin([seed], ops, basis, n, max_generations))
         except ClosureDiverged:
             return None
         if basis.dim < n:
-            return None
+            if k == 0:
+                return _found(_span_of(basis), 1,
+                              "Norton's kernel spin stopped at dimension %d" % basis.dim)
+            return _found(_annihilator(basis), 1,
+                          "annihilator of Norton's dual spin, which stopped at"
+                          " dimension %d" % basis.dim)
     return max(generations)
 
 
 def _complex_norton(rho: Rep, tol: float, cluster_tol: float,
-                    max_generations: int | None) -> BurnsideReport | None:
-    """Norton's test on a COMPLEX rep.
+                    max_generations: int | None) -> int | InvariantSubspaceReport | None:
+    """Norton's test on a COMPLEX rep, as _full_spins reports it.
 
     Take theta = rho(s1) - lam*I for the first simple eigenvalue lam whose
     kernel v and transposed kernel w both have nullity 1.  The module is
@@ -686,11 +754,8 @@ def _complex_norton(rho: Rep, tol: float, cluster_tol: float,
         w = _np_nullspace(theta.T, tol)
         if v.shape[1] != 1 or w.shape[1] != 1:
             continue
-        generations = _full_spins(((v[:, 0], gens, _OrthoBasis(tol)),
-                                   (w[:, 0], duals, _OrthoBasis(tol))), n, max_generations)
-        if generations is None:
-            return None
-        return BurnsideReport(n, Domain.COMPLEX, n * n, generations, method="norton")
+        return _full_spins(((v[:, 0], gens, _OrthoBasis(tol)),
+                            (w[:, 0], duals, _OrthoBasis(tol))), n, max_generations)
     return None
 
 
@@ -763,11 +828,12 @@ class _PairBasis(_EchelonBasis):
         return True
 
 
-def _exact_norton(gens: list[Mat], max_generations: int | None) -> int | None:
+def _exact_norton(gens: list[Mat], max_generations: int | None
+                  ) -> int | InvariantSubspaceReport | None:
     """Norton's test over Q (Holt and Rees, "Testing modules for
     irreducibility", 1994, section 2), on the RATIONAL generator images:
     the spins' largest generation count when it certifies that the module
-    is absolutely irreducible, else None.
+    is absolutely irreducible, the exact witness of a short spin, else None.
 
     Let p be the part of multiplicity one of the characteristic polynomial
     of a = rho(s1), found without factoring, and q an irreducible factor of
@@ -786,7 +852,9 @@ def _exact_norton(gens: list[Mat], max_generations: int | None) -> int | None:
     is spun paired with a v, and the test certifies only when the pairs do
     not span the graph of a map that commutes with the generators.
 
-    Declines on any other p, a short spin, or a spin past max_generations.
+    Declines on any other p, a spin past max_generations, or both spins
+    full with pairs that commute; a short spin gives its witness
+    (_full_spins).
     """
     a = gens[0]
     n = a.rows
@@ -807,12 +875,12 @@ def _exact_norton(gens: list[Mat], max_generations: int | None) -> int | None:
     v = kernel[0]
     seed = Mat.from_columns([v, a @ v]) if pair else v
     spun = _PairBasis() if pair else _EchelonBasis()
-    generations = _full_spins(((_integer_array(seed), ops, spun),
-                               (_integer_array(dual_kernel[0]), [g.T for g in ops],
-                                _EchelonBasis())), n, max_generations)
-    if generations is None or pair and _commutes(spun.pairs, ops):
+    found = _full_spins(((_integer_array(seed), ops, spun),
+                         (_integer_array(dual_kernel[0]), [g.T for g in ops],
+                          _EchelonBasis())), n, max_generations)
+    if isinstance(found, int) and pair and _commutes(spun.pairs, ops):
         return None
-    return generations
+    return found
 
 
 def _commutes(pairs: list[np.ndarray], ops: list[np.ndarray]) -> bool:
@@ -1392,7 +1460,8 @@ def invariant_subspace_search(rho: Rep, tries: int = 30, seed: int = 0,
     the generators.  A spin that stabilizes below the full degree exhibits
     invariance directly.  Rational representations only accept shifts that
     verify exactly, so a reported subspace is exact; the complex domain spins
-    numerically.  Deterministic for a fixed seed.
+    numerically, and a spun subspace counts only once _checked verifies it,
+    else the search goes on.  Deterministic for a fixed seed.
     """
     if rho.domain is Domain.LAURENT:
         raise ValueError("invariant subspace search runs over a scalar field; specialize first")
@@ -1408,18 +1477,52 @@ def invariant_subspace_search(rho: Rep, tries: int = 30, seed: int = 0,
             for vec in nullspace(a._shift(c), tol):
                 if exact_domain:
                     basis, start = _EchelonBasis(), _integer_array(vec)
-                else:
-                    basis, start = _OrthoBasis(tol), vec.as_numpy()
-                _spin([start], ops, basis, n)
-                if not 0 < basis.dim < n:
-                    continue
-                if exact_domain:
-                    span = Mat.from_rows(basis.vectors(), rho.domain).transpose()
                     note = ("spun from the kernel of a random image combination"
                             " shifted by %s" % c)
                 else:
-                    span = Mat.from_numpy(np.array(basis.vectors()).T)
+                    basis, start = _OrthoBasis(tol), vec.as_numpy()
                     note = "numeric spin from a singular shift %s" % c
-                return InvariantSubspaceReport(True, basis.dim, span, trial + 1, note)
+                _spin([start], ops, basis, n)
+                if not 0 < basis.dim < n:
+                    continue
+                found = _checked(rho, _found(_span_of(basis), trial + 1, note), tol)
+                if found is not None:
+                    return found
     return InvariantSubspaceReport(False, 0, None, tries,
                                    "no proper invariant subspace surfaced")
+
+
+def _span_of(basis) -> Mat:
+    """The subspace a spin reached, as the columns of a Mat: an exact
+    basis's echelon rows made monic, or a complex one's orthonormal columns."""
+    if isinstance(basis, _OrthoBasis):
+        return Mat.from_numpy(basis.q[:, :basis.dim])
+    return Mat.from_rows(basis.vectors(), Domain.RATIONAL).transpose()
+
+
+def _annihilator(basis) -> Mat:
+    """The annihilator of a spun subspace U under the bilinear pairing,
+    {x : u^T x = 0 for every u in U}, as the columns of a Mat.  When U is
+    invariant under the transposes of the generators, or their inverse
+    transposes, the annihilator is invariant under the generators:
+    u^T g x = (g^T u)^T x = 0.  The Hermitian complement {x : u^H x = 0}
+    is invariant under their adjoints instead, which is not the same."""
+    if isinstance(basis, _OrthoBasis):
+        return Mat.from_numpy(_np_nullspace(basis.q[:, :basis.dim].T, basis.tol))
+    return Mat.from_columns(nullspace(Mat.from_rows(basis.vectors(), Domain.RATIONAL)))
+
+
+def _found(span: Mat, trials: int, note: str) -> InvariantSubspaceReport:
+    return InvariantSubspaceReport(True, span.cols, span, trials, note)
+
+
+def _checked(rho: Rep, found: InvariantSubspaceReport,
+             tol: float) -> InvariantSubspaceReport | None:
+    """found, unless rho is COMPLEX and subgroup_invariance_check puts some
+    generator's residual above tol / 10: then None.  A numeric spin stops
+    wherever its products fall within tol of the basis, which near u = 0 is
+    short of an invariant subspace.  An exact spin is invariant as it is."""
+    if rho.domain is Domain.COMPLEX and not subgroup_invariance_check(
+            rho, range(1, rho.strands), found.basis, tol / 10).ok:
+        return None
+    return found

@@ -18,13 +18,14 @@ The pipeline here makes that effective:
                         certifies, else from the Kronecker system.
   classify              relations -> irreducibility -> parameter recovery ->
                         certified comparison against the rebuilt model, in
-                        one pass.  Norton's test, in the input's own domain,
-                        certifies irreducibility; the span closure runs when
-                        it declines or when the certificate is not
-                        EQUIVALENT.  Raises NotIrreducible when the span
-                        test fails; flags THEOREM-CONTRADICTION in the
-                        report if an irreducible input with n >= 9 refuses
-                        to match (no such input should exist).
+                        one pass.  Irreducibility is the one rule of
+                        analysis._irreducibility: Norton's test, in the
+                        input's own domain, certifies or finds an invariant
+                        subspace, and the span closure runs only when it
+                        does neither.  Raises NotIrreducible on a witness or
+                        a short exact span; flags THEOREM-CONTRADICTION in
+                        the report if an irreducible input with n >= 9
+                        refuses to match (no such input should exist).
   audit_theorem         randomized end-to-end exercise: sample (y, u), build
                         the twisted family, hide it behind a random
                         well-conditioned change of basis, and require the
@@ -45,7 +46,7 @@ import numpy as np
 
 from .analysis import (
     BurnsideReport,
-    _norton,
+    _irreducibility,
     _OrthoBasis,
     _spin,
     burnside_dimension,
@@ -335,27 +336,21 @@ class ClassificationReport:
         }
 
 
-def _span_closure(rho: Rep, tol: float) -> BurnsideReport:
-    burnside = burnside_dimension(rho, tol)
-    if not burnside.full:
-        raise NotIrreducible(
-            "image span has dimension %d of %d; the representation is reducible"
-            % (burnside.dimension, rho.degree ** 2))
-    return burnside
-
-
 def classify(rho: Rep, tol: float = DEFAULT_TOL,
              cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ClassificationReport:
     """Match an irreducible degree-n representation of n strands to the family.
 
-    One pass: verify the defining relations, certify irreducibility by
-    Norton's test in rho's domain or else by span dimension (NotIrreducible
-    when not full), recover (y, u) from the spectrum, rebuild the twisted
-    model and certify equivalence.  Only an EQUIVALENT certificate backs
-    Norton's test, so after any other verdict the span closure decides
-    irreducibility; the certificate does not depend on it.  For n >= 9 a
-    NOT_EQUIVALENT verdict on an irreducible input contradicts the
-    classification this package implements, so the report says so loudly.
+    One pass: verify the defining relations, decide irreducibility, recover
+    (y, u) from the spectrum, rebuild the twisted model and certify
+    equivalence.  Irreducibility follows analysis._irreducibility: Norton's
+    certificate stands whatever the equivalence verdict, and its invariant
+    subspace raises NotIrreducible naming the subspace's dimension, with no
+    span closure.  Only when the test gives neither does the closure run:
+    NotIrreducible when an exact span is short or a complex one is short
+    beside a verified subspace, IrreducibilityUndecided when a complex span
+    is short without one.  For n >= 9 a NOT_EQUIVALENT verdict on an
+    irreducible input contradicts the classification this package
+    implements, so the report says so loudly.
     """
     if rho.degree != rho.strands:
         raise ValueError("classification applies when degree equals strands")
@@ -366,12 +361,19 @@ def classify(rho: Rep, tol: float = DEFAULT_TOL,
         raise RelationFailure(
             "input does not satisfy the braid relations (max residual %.3g)"
             % relations.max_residual)
-    burnside = _norton(rho, tol, cluster_tol) or _span_closure(rho, tol)
+    burnside, witness = _irreducibility(rho, lambda: burnside_dimension(rho, tol),
+                                        tol, cluster_tol)
+    if witness is not None:
+        raise NotIrreducible(
+            "invariant subspace of dimension %d of %d; the representation is"
+            " reducible" % (witness.dim, rho.degree))
+    if not burnside.full:
+        raise NotIrreducible(
+            "image span has dimension %d of %d; the representation is reducible"
+            % (burnside.dimension, rho.degree ** 2))
     params = recover_parameters(rho, tol, cluster_tol)
     model = character_twist(specialize(standard_rep(rho.strands), params.u), params.y)
     cert = certify_equivalence(rho, model, tol, cluster_tol)
-    if cert.verdict != "EQUIVALENT" and burnside.method == "norton":
-        burnside = _span_closure(rho, tol)
     contradiction = rho.strands >= 9 and cert.verdict == "NOT_EQUIVALENT"
     notes = ""
     if contradiction:

@@ -31,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from .analysis import (
-    _norton,
+    _irreducibility,
     burnside_dimension,
     corank,
     jordan_projection,
@@ -139,10 +139,11 @@ def _cmd_corank(args, tol, cluster_tol):
 
 def _cmd_irreducible(args, tol, cluster_tol):
     rho = _build_rep(args, tol)
-    # Norton's test certifies irreducible input in dimension n; the span
-    # closure decides whatever it declines
-    report = (_norton(rho, tol, cluster_tol, args.max_generations)
-              or burnside_dimension(rho, tol, args.max_generations))
+    # the report gives the span dimension whenever Norton's test does not
+    # certify, so the closure runs beside a witness too
+    report, _ = _irreducibility(
+        rho, lambda: burnside_dimension(rho, tol, args.max_generations),
+        tol, cluster_tol, args.max_generations, measure=True)
     return {"burnside": report.to_json_dict(), "irreducible": report.full}
 
 

@@ -103,6 +103,16 @@ class NotIrreducible(BraidRepError):
     name = "NotIrreducible"
 
 
+class IrreducibilityUndecided(BraidRepError):
+    """A complex span closure stopped short of degree^2, and neither
+    Norton's test nor the subspace search found an invariant subspace that
+    passes the invariance check; or the closure is full beside such a
+    subspace.  The numeric closure can under-count, so it alone never
+    reports a complex input reducible."""
+
+    name = "IrreducibilityUndecided"
+
+
 class RelationFailure(BraidRepError):
     """Generator images do not satisfy the braid relations at tolerance."""
 

@@ -1,5 +1,6 @@
 """Tests for the structural probes."""
 
+import cmath
 import json
 import math
 import time
@@ -11,6 +12,8 @@ import pytest
 import braidrep.classification as classify_mod
 from braidrep import analysis
 from braidrep.analysis import (
+    BurnsideReport,
+    InvariantSubspaceReport,
     burnside_dimension,
     central_scalar,
     common_eigenvector,
@@ -41,6 +44,7 @@ from braidrep.matrix import (
     nullspace,
     ops_for,
     poly_eval_matrix,
+    rank_exact,
 )
 from braidrep.reps import (
     Rep,
@@ -68,6 +72,27 @@ def direct_sum(r1: Rep, r2: Rep) -> Rep:
             rows.append([o.zero] * n1 + list(g2.row(i)))
         gens.append(Mat.from_rows(rows, r1.domain))
     return Rep(r1.strands, gens, check=False)
+
+
+def assert_witness(rho: Rep, witness, tol: float = 1e-9) -> None:
+    """witness is a found, proper, nonzero subspace that every generator maps
+    into itself: exactly for exact input, within tol / 10 for complex."""
+    assert isinstance(witness, InvariantSubspaceReport) and witness.found
+    assert 0 < witness.dim < rho.degree and witness.basis.cols == witness.dim
+    basis = witness.basis
+    if rho.domain is Domain.COMPLEX:
+        assert np.linalg.matrix_rank(basis.as_numpy()) == witness.dim
+    else:
+        assert rank_exact(basis) == witness.dim
+    check = subgroup_invariance_check(rho, range(1, rho.strands), basis, tol / 10)
+    assert check.ok, check.entries
+
+
+def assert_declined(rho: Rep, norton) -> None:
+    """Norton's test gave no certificate, and any witness it gave holds."""
+    assert not isinstance(norton, BurnsideReport)
+    if norton is not None:
+        assert_witness(rho, norton)
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +331,23 @@ def test_norton_agrees_with_span_closure(n):
         closure = burnside_dimension(rho)
         norton = analysis._norton(rho)
         assert closure.full is irreducible and closure.method == "span"
-        assert (norton is not None) is irreducible
-        if norton is not None:
+        assert isinstance(norton, BurnsideReport) is irreducible
+        if irreducible:
             assert norton.method == "norton" and norton.full
             assert norton.dimension == n * n and norton.domain is Domain.COMPLEX
             assert norton.to_json_dict()["method"] == "norton"
+        else:
+            assert_declined(rho, norton)
 
 
 def test_norton_declines_direct_sum():
     rho = direct_sum(character_rep(3, 2 + 0j), specialize(standard_rep(3), 2.0 + 0j))
-    assert analysis._norton(rho) is None
+    assert_declined(rho, analysis._norton(rho))
     assert not burnside_dimension(rho).full
     for n in (5, 9):
         rho = specialize(standard_rep(n), 2.5 + 0.5j)
         for reducible in (direct_sum(rho, rho), direct_sum(character_rep(n, 2 + 0j), rho)):
-            assert analysis._norton(reducible) is None
+            assert_declined(reducible, analysis._norton(reducible))
             assert not burnside_dimension(reducible).full
 
 
@@ -354,7 +381,7 @@ def test_complex_norton_agrees_with_exact_closure_nearby(n):
     for u, near in COMPLEX_US.items():
         norton = analysis._norton(specialize(standard_rep(n), u))
         reference = burnside_dimension(specialize(standard_rep(n), near))
-        assert (norton is not None) is reference.full, (n, u)
+        assert isinstance(norton, BurnsideReport) is reference.full, (n, u)
         assert norton.full and norton.domain is Domain.COMPLEX
 
 
@@ -373,10 +400,12 @@ def test_exact_norton_agrees_with_span_closure(family, n):
         closure = burnside_dimension(rho)
         norton = analysis._norton(rho)
         # every full span is certified, and nothing else is
-        assert (norton is not None) is closure.full, (family, n, u)
-        if norton is not None:
+        assert isinstance(norton, BurnsideReport) is closure.full, (family, n, u)
+        if closure.full:
             assert norton.method == "norton" and norton.domain is Domain.RATIONAL
             assert norton.dimension == n * n and norton.generations <= n - 1
+        else:
+            assert_declined(rho, norton)
 
 
 def test_exact_norton_laurent_runs_at_the_sample_points():
@@ -470,18 +499,23 @@ def test_exact_norton_declines_reducible_sums():
     split = direct_sum(rho, specialize(standard_rep(5), Fraction(4)))
     for reducible in (double, split,
                       direct_sum(character_rep(5, Fraction(2)), specialize(standard_rep(5), 3))):
-        assert analysis._norton(reducible) is None
+        assert_declined(reducible, analysis._norton(reducible))
         assert not burnside_dimension(reducible).full
+    # no simple eigenvalue of multiplicity one, so no spin and no witness
+    assert analysis._norton(double) is None
 
 
 def test_exact_norton_needs_the_dual_spin():
     # Norton's test is about modules, so these two generators need not
     # braid: span(e1) is invariant and has no invariant complement.  The
-    # kernel vector e2 of s1 - 3I spins to Q^2, but the dual one stays put.
+    # kernel vector e2 of s1 - 3I spins to Q^2, but the dual one stays put,
+    # and its annihilator is the witness span(e1).
     a = Mat.from_rows([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]], Domain.RATIONAL)
     b = Mat.from_rows([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]], Domain.RATIONAL)
     rho = Rep(3, [a, b], check=False)
-    assert analysis._norton(rho) is None
+    witness = analysis._norton(rho)
+    assert_witness(rho, witness)
+    assert witness.basis == Mat.column_vector([Fraction(1), Fraction(0)], Domain.RATIONAL)
     assert burnside_dimension(rho).dimension == 3  # the upper triangular matrices
 
 
@@ -505,6 +539,88 @@ def test_exact_norton_declines_past_the_generation_cap():
     capped = analysis._norton(rho, max_generations=5)
     assert (capped.method, capped.generations) == ("norton", 5)
     assert analysis._norton(rho, max_generations=4) is None
+
+
+# -- the gate: witnesses against the exact closure ----------------------------
+
+
+def _gate(rho: Rep, full: bool) -> None:
+    """full is the reference closure's verdict: the exact closure, or the
+    complex one where it is reliable.  Norton's test certifies exactly when
+    it is full and gives an invariant witness exactly when it is short, and
+    the one rule then decides without running the closure."""
+    norton = analysis._norton(rho)
+    assert isinstance(norton, BurnsideReport) is full
+    if not full:
+        assert_witness(rho, norton)
+    calls = []
+    report, witness = analysis._irreducibility(rho, lambda: calls.append(rho))
+    assert not calls
+    assert (witness is None) is full
+    assert (report is not None and report.full) is full
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_witness_gate_at_u_one_twisted(n):
+    exact = character_twist(specialize(standard_rep(n), 1), Fraction(2))
+    reference = burnside_dimension(exact)
+    assert reference.dimension == (n - 1) ** 2 + 1
+    _gate(exact, False)
+    _gate(character_twist(specialize(standard_rep(n), 1 + 0j), 2 + 0j), False)
+    _gate(hidden_model(n, _TWIST, 1 + 0j, seed=n), False)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_witness_gate_burau_and_direct_sums(n):
+    burau = specialize(burau_rep(n), Fraction(-5, 3))
+    assert not burnside_dimension(burau).full
+    _gate(burau, False)
+    _gate(specialize(burau_rep(n), -5 / 3 + 0j), False)
+    summed = direct_sum(character_rep(n, Fraction(2)), specialize(standard_rep(n), Fraction(23, 7)))
+    assert not burnside_dimension(summed).full
+    _gate(summed, False)
+    _gate(direct_sum(character_rep(n, 2 + 0j), specialize(standard_rep(n), 23 / 7 + 0j)), False)
+
+
+def reduced_burau_b3(t: complex) -> Rep:
+    s1 = Mat.from_rows([[-t, 1], [0, 1]], Domain.COMPLEX)
+    s2 = Mat.from_rows([[1, 0], [t, -t]], Domain.COMPLEX)
+    return Rep(3, [s1, s2])
+
+
+def test_witness_gate_dual_spin_of_reduced_burau_b3():
+    # at t = e^(2 pi i / 3) the kernel spin of Norton's test is full (2 of 2)
+    # and the dual spin stops at 1 of 2; the witness is the annihilator of
+    # the dual spin under the bilinear pairing, u^T x = 0, not u^H x = 0
+    rho = reduced_burau_b3(cmath.exp(2j * cmath.pi / 3))
+    assert burnside_dimension(rho).dimension == 3
+    _gate(rho, False)
+    assert analysis._norton(rho).note.startswith("annihilator of Norton's dual spin")
+    # in the dual representation rho(s_i)^-T the two spins swap
+    dual = Rep(3, [Mat.from_numpy(rho.gen_inverse(i).as_numpy().T) for i in (1, 2)])
+    assert burnside_dimension(dual).dimension == 3
+    _gate(dual, False)
+    assert analysis._norton(dual).note.startswith("Norton's kernel spin")
+
+
+@pytest.mark.parametrize("n,u", [(9, 3e-3 + 0j), (9, -3e-3 + 0j), (9, 1.8e-3 + 2.4e-3j),
+                                 (9, 0.01 + 0j), (9, 0.05 + 0j), (12, 0.05 + 0j),
+                                 (9, 0.1 + 0j)], ids=str)
+def test_witness_gate_complex_near_zero_u(n, u):
+    # the complex closure under-counts here; the exact one at a rational
+    # point nearby is full, and Norton's test certifies with no witness
+    near = COMPLEX_US.get(u) or Fraction(u.real).limit_denominator(1000)
+    assert burnside_dimension(specialize(standard_rep(n), near)).full
+    _gate(specialize(standard_rep(n), u), True)
+
+
+def test_witness_gate_reduced_burau_over_q_sqrt2():
+    # irreducible over Q, so there is no rational witness; Norton's test
+    # declines and the exact closure decides, short of (2(n - 1))^2
+    rho = reduced_burau_sqrt2(4)
+    assert analysis._norton(rho) is None
+    report, witness = analysis._irreducibility(rho, lambda: burnside_dimension(rho))
+    assert witness is None and report.dimension == 18 and not report.full
 
 
 def _loop_gram_schmidt(vectors, tol):
@@ -980,6 +1096,17 @@ def test_invariant_subspace_numeric():
     assert rep.found
     assert 0 < rep.dim < 4
     assert subgroup_invariance_check(rho, [1, 2, 3], rep.basis).ok
+
+
+@pytest.mark.parametrize("n,u", [(9, 3e-3 + 0j), (12, 0.05 + 0j)], ids=str)
+def test_invariant_subspace_search_verifies_complex_spans(n, u):
+    # irreducible input on which numeric spins stop short: unchecked, the
+    # search reported dimension 5 (invariance residual 3e-3) at n = 9 and
+    # dimension 10 (residual 0.05) at n = 12; each span now fails the check
+    rho = specialize(standard_rep(n), u)
+    assert analysis._norton(rho).full
+    rep = invariant_subspace_search(rho)
+    assert not rep.found and rep.trials == 30
 
 
 def test_invariant_subspace_laurent_rejected():

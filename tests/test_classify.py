@@ -292,6 +292,19 @@ def test_classify_near_zero_u(n):
         assert burnside_dimension(specialize(standard_rep(5), Fraction(3, 1000))).full
 
 
+@pytest.mark.parametrize("u,y", [(1 + 0j, 2 + 0j), (Fraction(1), Fraction(2))], ids=str)
+def test_classify_reducible_n40_by_norton_witness(monkeypatch, u, y):
+    # Norton's kernel spin stops at n - 1 and is the witness; the span
+    # closure, which takes minutes here, never runs
+    rho = character_twist(specialize(standard_rep(40), u), y)
+    counts = count_calls(monkeypatch, "burnside_dimension")
+    start = time.perf_counter()
+    with pytest.raises(NotIrreducible, match="invariant subspace of dimension 39 of 40"):
+        classify(rho)
+    assert time.perf_counter() - start < 5.0
+    assert counts["burnside_dimension"] == 0
+
+
 def test_classify_n40_within_budget():
     y, u = cmath.rect(1.1, 0.4), 1.7 - 0.6j
     rho = hidden_model(40, y, u, seed=40)
@@ -318,11 +331,13 @@ def test_classify_contradiction_flag(monkeypatch):
             "NOT_EQUIVALENT", "forced by the test", None, 0, None, None)
 
     monkeypatch.setattr(classify_mod, "certify_equivalence", fake_cert)
+    counts = count_calls(monkeypatch, "burnside_dimension")
     report = classify_mod.classify(hidden_model(9, 2.0, 3.0, seed=1))
-    # Norton's test certifies, but a verdict other than EQUIVALENT hands
-    # irreducibility to the span closure; the certificate is not asked again
+    # Norton's certificate stands whatever the verdict: no span closure
+    # runs, and the certificate is asked once
     assert len(requests) == 1
-    assert report.burnside.method == "span"
+    assert report.burnside.method == "norton"
+    assert counts["burnside_dimension"] == 0
     assert report.contradiction
     assert "THEOREM-CONTRADICTION" in report.notes
 

@@ -177,6 +177,41 @@ def test_irreducible_complex_near_zero_u(capsys, schema):
     assert (doc["burnside"]["method"], doc["burnside"]["dimension"]) == ("norton", 81)
 
 
+def test_irreducibility_undecided_without_a_verified_witness(monkeypatch, capsys, schema):
+    # the complex closure reads 66 of 81 on this irreducible input; with
+    # Norton's test forced to decline, the search finds no subspace that
+    # passes the invariance check, so neither command calls it reducible
+    from braidrep import analysis, classify, specialize, standard_rep
+    from braidrep.errors import IrreducibilityUndecided
+
+    monkeypatch.setattr(analysis, "_norton", lambda *args, **kwargs: None)
+    with pytest.raises(IrreducibilityUndecided, match="66 of 81"):
+        classify(specialize(standard_rep(9), 0.003 + 0j))
+    code, doc, _ = run_cli(capsys, "irreducible", "--family", "standard", "--n", "9",
+                           "--u=0.003+0j")
+    assert code == 1
+    check(schema, doc)
+    assert doc["error"]["name"] == "IrreducibilityUndecided"
+
+
+@pytest.mark.parametrize("n,dim", [(4, 10), (6, 26)])
+def test_irreducible_complex_burau_at_minus_one(capsys, schema, n, dim):
+    # s1 has no simple eigenvalue at t = -1, so Norton's test gives nothing;
+    # the short complex closure stands beside the search's verified witness
+    from braidrep import analysis, burau_rep, invariant_subspace_search, specialize
+    from test_analysis import assert_witness
+
+    rho = specialize(burau_rep(n), -1 + 0j)
+    assert analysis._norton(rho) is None
+    assert_witness(rho, invariant_subspace_search(rho))
+    code, doc, _ = run_cli(capsys, "irreducible", "--family", "burau", "--n", str(n),
+                           "--u=-1+0j")
+    assert code == 0
+    check(schema, doc)
+    assert doc["irreducible"] is False
+    assert (doc["burnside"]["method"], doc["burnside"]["dimension"]) == ("span", dim)
+
+
 def test_classify_twisted_family(capsys, schema):
     code, doc, _ = run_cli(capsys, "classify", "--family", "standard",
                            "--strands", "9", "--u", "2.5+0j", "--y", "2+0j")

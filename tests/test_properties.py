@@ -24,6 +24,7 @@ from braidrep import (
     recover_parameters,
     specialize,
     standard_rep,
+    subgroup_invariance_check,
     subgroup_line_witness,
     theta_cycle_audit,
 )
@@ -197,7 +198,7 @@ def _block_sum(a: Rep, b: Rep) -> Rep:
 def test_exact_norton_never_certifies_a_partial_span():
     # random rational points of both families, twists, direct sums and
     # integer changes of basis: the exact test may decline a full span, but
-    # a certificate must always be a full span
+    # a certificate must always be a full span, and a witness a short one
     rng = random.Random(0xF9)
     for _ in range(60):
         n = rng.randint(3, 5)
@@ -217,6 +218,11 @@ def test_exact_norton_never_certifies_a_partial_span():
         rho = Rep(n, [p @ g @ p.inverse() for g in rho.gens], check=False)
         norton = analysis._norton(rho)
         closure = burnside_dimension(rho)
-        assert norton is None or closure.full, (n, pick.__name__, d)
+        certified = isinstance(norton, analysis.BurnsideReport)
+        assert not certified or closure.full, (n, pick.__name__, d)
         if pick is standard_rep and d == n and closure.full:
-            assert norton is not None, "a full span of the block family declined"
+            assert certified, "a full span of the block family declined"
+        # a witness is exact, proper and invariant, so the span is short
+        if norton is not None and not certified:
+            assert not closure.full and 0 < norton.dim < d
+            assert subgroup_invariance_check(rho, range(1, n), norton.basis).ok
