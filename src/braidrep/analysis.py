@@ -19,8 +19,7 @@ The functions here answer questions about a single representation:
   jordan_projection      column space of minpoly(M)/(X - lam) evaluated at M;
                          its dimension counts the maximal Jordan blocks of lam
   subgroup_invariance_check  whether chosen generators map a subspace into itself
-  invariant_subspace_search  randomized search for a proper invariant subspace,
-                         complex ones verified by subgroup_invariance_check
+  invariant_subspace_search  randomized search for a proper invariant subspace
 
 burnside_dimension, Norton's test (_norton) and invariant_subspace_search
 run on one spin kernel, _spin: it closes the span of some seed elements under
@@ -44,19 +43,12 @@ order.  The basis, the generation counts and every decision are those of
 the one-at-a-time spin.
 
 Norton's test certifies irreducibility, and so a full span by Burnside's
-theorem.  When one of its spins stops short, the spun subspace, or the
-annihilator of the dual one, is invariant, and the test returns it as a
-witness: exact over the rationals, and over the complex numbers only when
-subgroup_invariance_check holds it to a tenth of the tolerance.  _norton
-picks the test from the input's domain: exact over the rationals (Holt and
-Rees, 1994), at the three sample points for Laurent input, where it gives
-no witness, numeric over the complex numbers.
-
-_irreducibility is the one rule that the irreducible command and classify
-share.  A certificate or a witness from Norton's test decides.  The span
-closure decides only what the test declines without a witness, and a short
-complex span, which can under-count, stands only beside a verified witness
-from invariant_subspace_search; otherwise IrreducibilityUndecided.
+theorem, or returns the invariant subspace a short spin found.  _norton
+runs it in the input's domain: exact over the rationals (Holt and Rees,
+1994), at the three sample points for Laurent input, which give no
+subspace, numeric over the complex numbers.  _irreducibility is the one
+rule of the irreducible command and classify: the test decides, and the
+span closure decides only what the test leaves open.
 
 Exact domains are kept exact wherever eigenvalues are rational; everything
 else runs on the complexification with max-norm residual reporting.  Laurent
@@ -628,22 +620,13 @@ def _irreducibility(rho: Rep, closure, tol: float = DEFAULT_TOL,
                     cluster_tol: float = DEFAULT_CLUSTER_TOL,
                     max_generations: int | None = None, measure: bool = False
                     ) -> tuple[BurnsideReport | None, InvariantSubspaceReport | None]:
-    """The one irreducibility rule of the irreducible command and classify,
-    as (span report, witness): irreducible when the witness is None and
-    the report is full, reducible otherwise.
-
-    Norton's test runs first.  Its certificate stands: (certificate, None).
-    Its verified witness decides reducible without the closure, (None,
-    witness), unless measure asks for the span dimension: (closure(),
-    witness).  Only when the test declines without a witness does the span
-    closure decide.  A full span, or a short exact one, is the verdict:
-    (span, None).  A short complex span may under-count, as it does near
-    u = 0, so it stands only beside a verified witness from
-    invariant_subspace_search; without one, and for a full complex span
-    beside Norton's witness, IrreducibilityUndecided.
-
-    closure takes no arguments and runs the caller's own span closure, so
-    each module reaches burnside_dimension through its own name.
+    """The irreducibility rule of the irreducible command and classify:
+    (span report, witness), irreducible when the report is full and there
+    is no witness.  Norton's certificate or witness decides; closure, the
+    caller's own burnside_dimension call, runs when the test gives neither,
+    or to measure the span beside a witness.  A short complex span may
+    under-count, so it needs a verified witness from
+    invariant_subspace_search, else IrreducibilityUndecided.
     """
     witness = _norton(rho, tol, cluster_tol, max_generations)
     if isinstance(witness, BurnsideReport):
@@ -652,15 +635,12 @@ def _irreducibility(rho: Rep, closure, tol: float = DEFAULT_TOL,
         return None, witness
     span = closure()
     if witness is None and not span.full and rho.domain is Domain.COMPLEX:
-        witness = invariant_subspace_search(rho, tol=tol, cluster_tol=cluster_tol)
-        if not witness.found:
-            raise IrreducibilityUndecided(
-                "complex image span has dimension %d of %d, and no invariant"
-                " subspace passed the invariance check" % (span.dimension, rho.degree ** 2))
-    if witness is not None and span.full:
+        found = invariant_subspace_search(rho, tol=tol, cluster_tol=cluster_tol)
+        witness = found if found.found else None
+    if rho.domain is Domain.COMPLEX and span.full is (witness is not None):
         raise IrreducibilityUndecided(
-            "image span is full, beside an invariant subspace of dimension %d"
-            % witness.dim)
+            "complex image span has dimension %d of %d %s a verified invariant"
+            " subspace" % (span.dimension, rho.degree ** 2, "beside" if witness else "without"))
     return span, witness
 
 
@@ -674,42 +654,34 @@ def _norton(rho: Rep, tol: float = DEFAULT_TOL,
     A COMPLEX rep runs the numeric test, a RATIONAL one the exact test
     (_exact_norton), and a LAURENT one the exact test at the three fixed
     sample points, all of which must certify.  Returns the full report,
-    with the spins' largest generation count, when the test certifies.
-    When a spin stops short of the degree, the subspace it spun, or for
-    the dual spin that subspace's annihilator, is invariant: it comes back
-    as a found InvariantSubspaceReport, exact for RATIONAL input, and for
-    COMPLEX input only once _checked verifies it.  Returns None otherwise,
-    a spin past max_generations included, and for any short spin of
+    with the spins' largest generation count, when the test certifies, and
+    the witness of a short spin (_full_spins) once _checked accepts it.
+    Returns None otherwise, a spin past max_generations included, and for
     LAURENT input: a subspace at one sample point is not one of the family.
     """
-    notes = ""
     if rho.domain is Domain.COMPLEX:
-        generations = [_complex_norton(rho, tol, cluster_tol, max_generations)]
+        found, notes = [_complex_norton(rho, tol, cluster_tol, max_generations)], ""
     elif rho.domain is Domain.RATIONAL:
-        generations = [_exact_norton(list(rho.gens), max_generations)]
+        found, notes = [_exact_norton(list(rho.gens), max_generations)], ""
     else:
         pts = _sample_points()
-        generations, notes = [], _generic_note(pts)
+        found, notes = [], _generic_note(pts)
         for u in pts:
-            generations.append(_exact_norton([m.eval_at(u) for m in rho.gens],
-                                             max_generations))
-            if not isinstance(generations[-1], int):
+            found.append(_exact_norton([m.eval_at(u) for m in rho.gens], max_generations))
+            if not isinstance(found[-1], int):
                 return None
-    if isinstance(generations[-1], InvariantSubspaceReport):
-        return _checked(rho, generations[-1], tol)
-    if generations[-1] is None:
-        return None
+    if not isinstance(found[-1], int):  # a witness to check, or None
+        return found[-1] and _checked(rho, found[-1], tol)
     n = rho.degree
-    return BurnsideReport(n, rho.domain, n * n, max(generations), notes, "norton")
+    return BurnsideReport(n, rho.domain, n * n, max(found), notes, "norton")
 
 
 def _full_spins(spins, n: int, max_generations: int | None
                 ) -> int | InvariantSubspaceReport | None:
-    """Spin each (seed, ops, basis) in turn, the kernel spin and then the
-    dual one.  Returns the largest generation count when every spin
-    reaches dimension n; the unverified witness of the first spin that
-    stops short, its spun subspace for the kernel spin and the annihilator
-    of it for the dual spin; None when a spin runs past max_generations."""
+    """Spin the kernel seed and then the dual one, each (seed, ops, basis):
+    the largest generation count when both reach dimension n, else the
+    invariant subspace of the first short spin, its span or for the dual
+    spin its annihilator, or None past max_generations."""
     generations = []
     for k, (seed, ops, basis) in enumerate(spins):
         try:
@@ -717,12 +689,9 @@ def _full_spins(spins, n: int, max_generations: int | None
         except ClosureDiverged:
             return None
         if basis.dim < n:
-            if k == 0:
-                return _found(_span_of(basis), 1,
-                              "Norton's kernel spin stopped at dimension %d" % basis.dim)
-            return _found(_annihilator(basis), 1,
-                          "annihilator of Norton's dual spin, which stopped at"
-                          " dimension %d" % basis.dim)
+            span = _spun(basis, dual=k == 1)
+            note = "Norton's %s spin stopped at %d" % (("kernel", "dual")[k], basis.dim)
+            return InvariantSubspaceReport(True, span.cols, span, 1, note)
     return max(generations)
 
 
@@ -852,9 +821,7 @@ def _exact_norton(gens: list[Mat], max_generations: int | None
     is spun paired with a v, and the test certifies only when the pairs do
     not span the graph of a map that commutes with the generators.
 
-    Declines on any other p, a spin past max_generations, or both spins
-    full with pairs that commute; a short spin gives its witness
-    (_full_spins).
+    Declines on any other p, commuting pairs, or a spin past max_generations.
     """
     a = gens[0]
     n = a.rows
@@ -1485,43 +1452,32 @@ def invariant_subspace_search(rho: Rep, tries: int = 30, seed: int = 0,
                 _spin([start], ops, basis, n)
                 if not 0 < basis.dim < n:
                     continue
-                found = _checked(rho, _found(_span_of(basis), trial + 1, note), tol)
+                found = _checked(rho, InvariantSubspaceReport(
+                    True, basis.dim, _spun(basis), trial + 1, note), tol)
                 if found is not None:
                     return found
     return InvariantSubspaceReport(False, 0, None, tries,
                                    "no proper invariant subspace surfaced")
 
 
-def _span_of(basis) -> Mat:
-    """The subspace a spin reached, as the columns of a Mat: an exact
-    basis's echelon rows made monic, or a complex one's orthonormal columns."""
+def _spun(basis, dual: bool = False) -> Mat:
+    """A spun subspace U as the columns of a Mat: the echelon rows made monic,
+    or the orthonormal columns.  With dual, its annihilator {x : u^T x = 0}
+    instead, which the generators keep when their transposes, or inverse
+    transposes, keep U: u^T g x = (g^T u)^T x.  (The adjoints, not the
+    generators, keep {x : u^H x = 0}.)"""
     if isinstance(basis, _OrthoBasis):
-        return Mat.from_numpy(basis.q[:, :basis.dim])
-    return Mat.from_rows(basis.vectors(), Domain.RATIONAL).transpose()
-
-
-def _annihilator(basis) -> Mat:
-    """The annihilator of a spun subspace U under the bilinear pairing,
-    {x : u^T x = 0 for every u in U}, as the columns of a Mat.  When U is
-    invariant under the transposes of the generators, or their inverse
-    transposes, the annihilator is invariant under the generators:
-    u^T g x = (g^T u)^T x = 0.  The Hermitian complement {x : u^H x = 0}
-    is invariant under their adjoints instead, which is not the same."""
-    if isinstance(basis, _OrthoBasis):
-        return Mat.from_numpy(_np_nullspace(basis.q[:, :basis.dim].T, basis.tol))
-    return Mat.from_columns(nullspace(Mat.from_rows(basis.vectors(), Domain.RATIONAL)))
-
-
-def _found(span: Mat, trials: int, note: str) -> InvariantSubspaceReport:
-    return InvariantSubspaceReport(True, span.cols, span, trials, note)
+        q = basis.q[:, :basis.dim]
+        return Mat.from_numpy(_np_nullspace(q.T, basis.tol) if dual else q)
+    rows = Mat.from_rows(basis.vectors(), Domain.RATIONAL)
+    return Mat.from_columns(nullspace(rows)) if dual else rows.transpose()
 
 
 def _checked(rho: Rep, found: InvariantSubspaceReport,
              tol: float) -> InvariantSubspaceReport | None:
-    """found, unless rho is COMPLEX and subgroup_invariance_check puts some
-    generator's residual above tol / 10: then None.  A numeric spin stops
-    wherever its products fall within tol of the basis, which near u = 0 is
-    short of an invariant subspace.  An exact spin is invariant as it is."""
+    """found, or None when rho is COMPLEX and subgroup_invariance_check puts
+    a generator's residual above tol / 10: a numeric spin can stop short of
+    an invariant subspace, as it does near u = 0."""
     if rho.domain is Domain.COMPLEX and not subgroup_invariance_check(
             rho, range(1, rho.strands), found.basis, tol / 10).ok:
         return None

@@ -19,13 +19,12 @@ The pipeline here makes that effective:
   classify              relations -> irreducibility -> parameter recovery ->
                         certified comparison against the rebuilt model, in
                         one pass.  Irreducibility is the one rule of
-                        analysis._irreducibility: Norton's test, in the
-                        input's own domain, certifies or finds an invariant
-                        subspace, and the span closure runs only when it
-                        does neither.  Raises NotIrreducible on a witness or
-                        a short exact span; flags THEOREM-CONTRADICTION in
-                        the report if an irreducible input with n >= 9
-                        refuses to match (no such input should exist).
+                        analysis._irreducibility: Norton's test decides, and
+                        the span closure only what it leaves open.  Raises
+                        NotIrreducible for a reducible input; flags
+                        THEOREM-CONTRADICTION in the report if an
+                        irreducible input with n >= 9 refuses to match (no
+                        such input should exist).
   audit_theorem         randomized end-to-end exercise: sample (y, u), build
                         the twisted family, hide it behind a random
                         well-conditioned change of basis, and require the
@@ -340,17 +339,13 @@ def classify(rho: Rep, tol: float = DEFAULT_TOL,
              cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ClassificationReport:
     """Match an irreducible degree-n representation of n strands to the family.
 
-    One pass: verify the defining relations, decide irreducibility, recover
-    (y, u) from the spectrum, rebuild the twisted model and certify
-    equivalence.  Irreducibility follows analysis._irreducibility: Norton's
-    certificate stands whatever the equivalence verdict, and its invariant
-    subspace raises NotIrreducible naming the subspace's dimension, with no
-    span closure.  Only when the test gives neither does the closure run:
-    NotIrreducible when an exact span is short or a complex one is short
-    beside a verified subspace, IrreducibilityUndecided when a complex span
-    is short without one.  For n >= 9 a NOT_EQUIVALENT verdict on an
-    irreducible input contradicts the classification this package
-    implements, so the report says so loudly.
+    One pass: verify the defining relations, decide irreducibility by
+    analysis._irreducibility, recover (y, u) from the spectrum, rebuild the
+    twisted model and certify equivalence.  Norton's certificate stands
+    whatever the verdict; a witness raises NotIrreducible naming its
+    dimension, and so does a short exact span.  For n >= 9 a NOT_EQUIVALENT
+    verdict on an irreducible input contradicts the classification this
+    package implements, so the report says so loudly.
     """
     if rho.degree != rho.strands:
         raise ValueError("classification applies when degree equals strands")

@@ -30,6 +30,7 @@ from braidrep.errors import (
     BraidRepError,
     ClosureDiverged,
     GenericDisagreement,
+    IrreducibilityUndecided,
     NotEigenvalue,
     NotScalar,
     WitnessInvalid,
@@ -595,12 +596,12 @@ def test_witness_gate_dual_spin_of_reduced_burau_b3():
     rho = reduced_burau_b3(cmath.exp(2j * cmath.pi / 3))
     assert burnside_dimension(rho).dimension == 3
     _gate(rho, False)
-    assert analysis._norton(rho).note.startswith("annihilator of Norton's dual spin")
+    assert analysis._norton(rho).note == "Norton's dual spin stopped at 1"
     # in the dual representation rho(s_i)^-T the two spins swap
     dual = Rep(3, [Mat.from_numpy(rho.gen_inverse(i).as_numpy().T) for i in (1, 2)])
     assert burnside_dimension(dual).dimension == 3
     _gate(dual, False)
-    assert analysis._norton(dual).note.startswith("Norton's kernel spin")
+    assert analysis._norton(dual).note == "Norton's kernel spin stopped at 1"
 
 
 @pytest.mark.parametrize("n,u", [(9, 3e-3 + 0j), (9, -3e-3 + 0j), (9, 1.8e-3 + 2.4e-3j),
@@ -612,6 +613,23 @@ def test_witness_gate_complex_near_zero_u(n, u):
     near = COMPLEX_US.get(u) or Fraction(u.real).limit_denominator(1000)
     assert burnside_dimension(specialize(standard_rep(n), near)).full
     _gate(specialize(standard_rep(n), u), True)
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_norton_drops_a_complex_witness_that_fails_the_check(n):
+    # at u = 1 + 1e-9 the module is irreducible but within tol of u = 1: the
+    # kernel spin stops at n - 1, and its span's invariance residual, 2e-10
+    # at n = 5 and 1.1e-10 at n = 9, is above tol / 10, so it is no witness;
+    # the short complex closure then stands alone, and the rule says so
+    rho = specialize(standard_rep(n), 1 + 1e-9 + 0j)
+    raw = analysis._complex_norton(rho, 1e-9, 1e-6, None)
+    assert raw.dim == n - 1
+    residuals = [r for _, _, r in subgroup_invariance_check(
+        rho, range(1, n), raw.basis, 1e-9).entries]
+    assert 1e-10 < max(residuals) < 1e-9
+    assert analysis._norton(rho) is None
+    with pytest.raises(IrreducibilityUndecided):
+        analysis._irreducibility(rho, lambda: burnside_dimension(rho))
 
 
 def test_witness_gate_reduced_burau_over_q_sqrt2():
