@@ -194,6 +194,24 @@ def test_irreducibility_undecided_without_a_verified_witness(monkeypatch, capsys
     assert doc["error"]["name"] == "IrreducibilityUndecided"
 
 
+def test_each_module_runs_the_closure_through_its_own_name(monkeypatch, capsys):
+    # the benchmark's tracer patches cli.burnside_dimension and
+    # classification.burnside_dimension, so each must be the name called
+    from braidrep import analysis, classification, cli
+
+    calls = []
+    for module in (cli, classification):
+        def counted(*args, _module=module, _fn=module.burnside_dimension, **kwargs):
+            calls.append(_module.__name__)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "burnside_dimension", counted)
+    assert main(["irreducible", "--family", "standard", "--n", "5", "--u", "1"]) == 0
+    monkeypatch.setattr(analysis, "_norton", lambda *args, **kwargs: None)
+    assert main(["classify", "--family", "standard", "--n", "5", "--u", "1"]) == 1
+    capsys.readouterr()
+    assert calls == ["braidrep.cli", "braidrep.classification"]
+
+
 @pytest.mark.parametrize("n,dim", [(4, 10), (6, 26)])
 def test_irreducible_complex_burau_at_minus_one(capsys, schema, n, dim):
     # s1 has no simple eigenvalue at t = -1, so Norton's test gives nothing;
