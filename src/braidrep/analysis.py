@@ -375,8 +375,8 @@ class _EchelonBasis:
     way.  A vector that is kept is divided by its gcd once, at the end.
     """
 
-    def __init__(self):
-        self.rows: list[tuple[int, np.ndarray]] = []  # (pivot index, row)
+    def __init__(self, rows=()):
+        self.rows: list[tuple[int, np.ndarray]] = list(rows)  # (pivot index, row)
 
     @property
     def dim(self) -> int:
@@ -627,10 +627,19 @@ def _irreducibility(rho: Rep, closure, tol: float = DEFAULT_TOL,
     or to measure the span beside a witness.  A short complex span may
     under-count, so it needs a verified witness from
     invariant_subspace_search, else IrreducibilityUndecided.
+
+    With measure, a RATIONAL module that Norton's two spins split
+    (_split) is measured from the split instead of by closure: the report
+    has method "split", and the witness is the kernel spin.
     """
-    witness = _norton(rho, tol, cluster_tol, max_generations)
+    witness = _norton(rho, tol, cluster_tol, max_generations, split=measure)
     if isinstance(witness, BurnsideReport):
         return witness, None
+    if isinstance(witness, _Split):
+        dim, generations, parts = _split_span(witness, max_generations)
+        note = "Norton's spins split the module as %s" % " + ".join(map(str, parts))
+        return (BurnsideReport(rho.degree, rho.domain, dim, generations, note, "split"),
+                witness.witness)
     if witness is not None and not measure:
         return None, witness
     span = closure()
@@ -646,10 +655,11 @@ def _irreducibility(rho: Rep, closure, tol: float = DEFAULT_TOL,
 
 def _norton(rho: Rep, tol: float = DEFAULT_TOL,
             cluster_tol: float = DEFAULT_CLUSTER_TOL,
-            max_generations: int | None = None
-            ) -> BurnsideReport | InvariantSubspaceReport | None:
+            max_generations: int | None = None, split: bool = False
+            ) -> BurnsideReport | InvariantSubspaceReport | _Split | None:
     """Norton's irreducibility test in rho's own domain: a certificate, a
-    witness, or None.
+    witness, or None; with split, a RATIONAL module that the test's two
+    spins split comes back as that _Split.
 
     A COMPLEX rep runs the numeric test, a RATIONAL one the exact test
     (_exact_norton), and a LAURENT one the exact test at the three fixed
@@ -662,7 +672,7 @@ def _norton(rho: Rep, tol: float = DEFAULT_TOL,
     if rho.domain is Domain.COMPLEX:
         found, notes = [_complex_norton(rho, tol, cluster_tol, max_generations)], ""
     elif rho.domain is Domain.RATIONAL:
-        found, notes = [_exact_norton(list(rho.gens), max_generations)], ""
+        found, notes = [_exact_norton(list(rho.gens), max_generations, split)], ""
     else:
         pts = _sample_points()
         found, notes = [], _generic_note(pts)
@@ -676,28 +686,33 @@ def _norton(rho: Rep, tol: float = DEFAULT_TOL,
     return BurnsideReport(n, rho.domain, n * n, max(found), notes, "norton")
 
 
-def _full_spins(spins, n: int, max_generations: int | None
-                ) -> int | InvariantSubspaceReport | None:
+def _full_spins(spins, n: int, max_generations: int | None, both: bool = False
+                ) -> tuple[list[int], InvariantSubspaceReport | None] | None:
     """Spin the kernel seed and then the dual one, each (seed, ops, basis):
-    the largest generation count when both reach dimension n, else the
-    invariant subspace of the first short spin, its span or for the dual
-    spin its annihilator, or None past max_generations."""
-    generations = []
+    the generation count of each spin that ran, and the invariant subspace
+    of the first short spin, its span or for the dual spin its annihilator,
+    or None when both reach dimension n.  A short kernel spin ends the run
+    unless both is set.  None past max_generations, except that with both a
+    dual spin past it leaves the kernel spin's witness."""
+    generations, witness = [], None
     for k, (seed, ops, basis) in enumerate(spins):
         try:
             generations.append(_spin([seed], ops, basis, n, max_generations))
         except ClosureDiverged:
-            return None
-        if basis.dim < n:
+            return witness and (generations, witness)
+        if basis.dim < n and witness is None:
             span = _spun(basis, dual=k == 1)
             note = "Norton's %s spin stopped at %d" % (("kernel", "dual")[k], basis.dim)
-            return InvariantSubspaceReport(True, span.cols, span, 1, note)
-    return max(generations)
+            witness = InvariantSubspaceReport(True, span.cols, span, 1, note)
+            if not both:
+                break
+    return generations, witness
 
 
 def _complex_norton(rho: Rep, tol: float, cluster_tol: float,
                     max_generations: int | None) -> int | InvariantSubspaceReport | None:
-    """Norton's test on a COMPLEX rep, as _full_spins reports it.
+    """Norton's test on a COMPLEX rep: the spins' largest generation count
+    when it certifies, the witness of a short spin, else None.
 
     Take theta = rho(s1) - lam*I for the first simple eigenvalue lam whose
     kernel v and transposed kernel w both have nullity 1.  The module is
@@ -723,8 +738,9 @@ def _complex_norton(rho: Rep, tol: float, cluster_tol: float,
         w = _np_nullspace(theta.T, tol)
         if v.shape[1] != 1 or w.shape[1] != 1:
             continue
-        return _full_spins(((v[:, 0], gens, _OrthoBasis(tol)),
-                            (w[:, 0], duals, _OrthoBasis(tol))), n, max_generations)
+        found = _full_spins(((v[:, 0], gens, _OrthoBasis(tol)),
+                             (w[:, 0], duals, _OrthoBasis(tol))), n, max_generations)
+        return found and (found[1] or max(found[0]))
     return None
 
 
@@ -797,12 +813,14 @@ class _PairBasis(_EchelonBasis):
         return True
 
 
-def _exact_norton(gens: list[Mat], max_generations: int | None
-                  ) -> int | InvariantSubspaceReport | None:
+def _exact_norton(gens: list[Mat], max_generations: int | None, split: bool = False
+                  ) -> int | InvariantSubspaceReport | _Split | None:
     """Norton's test over Q (Holt and Rees, "Testing modules for
     irreducibility", 1994, section 2), on the RATIONAL generator images:
     the spins' largest generation count when it certifies that the module
     is absolutely irreducible, the exact witness of a short spin, else None.
+    With split and a rational root, both spins run even when the kernel
+    spin stops short, and a module they split comes back as its _Split.
 
     Let p be the part of multiplicity one of the characteristic polynomial
     of a = rho(s1), found without factoring, and q an irreducible factor of
@@ -842,12 +860,19 @@ def _exact_norton(gens: list[Mat], max_generations: int | None
     v = kernel[0]
     seed = Mat.from_columns([v, a @ v]) if pair else v
     spun = _PairBasis() if pair else _EchelonBasis()
+    dual = _EchelonBasis()
+    both = split and not pair
     found = _full_spins(((_integer_array(seed), ops, spun),
-                         (_integer_array(dual_kernel[0]), [g.T for g in ops],
-                          _EchelonBasis())), n, max_generations)
-    if isinstance(found, int) and pair and _commutes(spun.pairs, ops):
+                         (_integer_array(dual_kernel[0]), [g.T for g in ops], dual)),
+                        n, max_generations, both)
+    if found is None:
         return None
-    return found
+    generations, witness = found
+    if witness is None:
+        return None if pair and _commutes(spun.pairs, ops) else max(generations)
+    if both and len(generations) == 2:
+        return _split(gens, spun, dual, witness, max(generations)) or witness
+    return witness
 
 
 def _commutes(pairs: list[np.ndarray], ops: list[np.ndarray]) -> bool:
@@ -857,6 +882,69 @@ def _commutes(pairs: list[np.ndarray], ops: list[np.ndarray]) -> bool:
     graph = _EchelonBasis()
     _spin(pairs, ops, graph, len(pairs) + 1)
     return graph.dim == len(pairs)
+
+
+@dataclass(frozen=True)
+class _Split:
+    """V = S + A, split by Norton's two spins at a simple rational
+    eigenvalue lam of rho(s1): S is the kernel spin, witness's subspace,
+    and complement the generators on A, the annihilator of the dual spin."""
+    witness: InvariantSubspaceReport
+    complement: list[Mat]
+    generations: int  # the two spins' largest count
+
+
+def _split(gens: list[Mat], spun: _EchelonBasis, dual: _EchelonBasis,
+           witness: InvariantSubspaceReport, generations: int) -> _Split | None:
+    """The _Split of the two spins of _exact_norton at a rational root, or
+    None unless dim S + dim A = n and S meets A only in 0.
+
+    A is the largest submodule without the kernel vector v: one without v
+    lies in the image of theta, since lam is simple, and the image of theta
+    is the annihilator of ker theta^T.  So a submodule of S is S or lies in
+    S meet A, and when that is 0, S is irreducible, absolutely so as the
+    spins do not depend on the field.  lam is an eigenvalue on S and on no
+    composition factor of A, so none of those is isomorphic to S, and the
+    image of the group algebra is End(S) times its image on A.
+    """
+    if spun.dim != dual.dim:  # dim A = n - dim of the dual spin
+        return None
+    basis = _spun(dual, dual=True)
+    joint = _EchelonBasis(spun.rows)
+    ints = _integer_array(basis)
+    if not all(joint.insert(ints[:, k]) for k in range(basis.cols)):
+        return None
+    return _Split(witness, _restricted(gens, basis), generations)
+
+
+def _restricted(gens: list[Mat], basis: Mat) -> list[Mat]:
+    """The generators on the invariant column span of basis, a kernel basis
+    from nullspace, in its columns: each column k is alone nonzero in some
+    row r, so g B = B M gives row k of M as row r of g B over B[r, k]."""
+    lone = {cols[0]: r for r, cols in enumerate(basis._nonzeros()) if len(cols) == 1}
+    rows = [lone[k] for k in range(basis.cols)]
+    return [Mat.from_rows([[x / basis.at(r, k) for x in g.row(r)]
+                           for k, r in enumerate(rows)], Domain.RATIONAL) @ basis
+            for g in gens]
+
+
+def _split_span(split: _Split, max_generations: int | None) -> tuple[int, int, list[int]]:
+    """(span dimension, generation count, summand dimensions) of a split
+    module: (dim S)^2 plus the span on A by the same rule.  Norton's
+    certificate gives (dim A)^2, a further split recurses, and anything
+    else runs the exact closure on A."""
+    gens = split.complement
+    k = gens[0].rows
+    found = _exact_norton(gens, max_generations, split=True)
+    if isinstance(found, _Split):
+        dim, generations, parts = _split_span(found, max_generations)
+    elif isinstance(found, int):
+        dim, generations, parts = k * k, found, [k]
+    else:
+        dim, generations = _image_span(gens, k, Domain.RATIONAL, DEFAULT_TOL, max_generations)
+        parts = [k]
+    s = split.witness.dim
+    return s * s + dim, max(split.generations, generations), [s] + parts
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,9 @@ def test_each_module_runs_the_closure_through_its_own_name(monkeypatch, capsys):
             calls.append(_module.__name__)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, "burnside_dimension", counted)
-    assert main(["irreducible", "--family", "standard", "--n", "5", "--u", "1"]) == 0
+    # exact u = 1 is measured from Norton's split; complex Burau at t = -1
+    # gives Norton's test no simple eigenvalue, so the closure runs
+    assert main(["irreducible", "--family", "burau", "--n", "4", "--u=-1+0j"]) == 0
     monkeypatch.setattr(analysis, "_norton", lambda *args, **kwargs: None)
     assert main(["classify", "--family", "standard", "--n", "5", "--u", "1"]) == 1
     capsys.readouterr()
