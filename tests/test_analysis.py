@@ -641,6 +641,118 @@ def test_witness_gate_reduced_burau_over_q_sqrt2():
     assert witness is None and report.dimension == 18 and not report.full
 
 
+# -- the gate: the span of a split module against the exact closure ----------
+
+
+def _measured(rho: Rep):
+    """The irreducible command's rule on rho: (report, witness, closure calls)."""
+    calls = []
+
+    def closure():
+        calls.append(rho)
+        return burnside_dimension(rho)
+    report, witness = analysis._irreducibility(rho, closure, measure=True)
+    return report, witness, calls
+
+
+def _split_gate(rho: Rep, parts: list[int], monkeypatch=None) -> None:
+    """Norton's spins split rho as parts, the last one measured on its own,
+    and the split gives the closure's dimension without running it; with
+    monkeypatch, no closure runs on the last part either."""
+    reference = burnside_dimension(rho)
+    if monkeypatch is not None:
+        monkeypatch.setattr(analysis, "_image_span", None)
+    report, witness, calls = _measured(rho)
+    assert not calls
+    assert report.method == "split"
+    assert report.notes == "Norton's spins split the module as %s" % " + ".join(map(str, parts))
+    assert (report.dimension, report.full) == (reference.dimension, reference.full)
+    assert_witness(rho, witness)
+    assert witness.dim == parts[0]
+
+
+def _span_kept(rho: Rep, dimension: int) -> None:
+    """The split does not apply, so the closure measures rho as before."""
+    report, _, calls = _measured(rho)
+    assert calls == [rho]
+    assert report == burnside_dimension(rho)
+    assert (report.method, report.dimension) == ("span", dimension)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_split_gate_at_u_one(n):
+    _split_gate(specialize(standard_rep(n), 1), [n - 1, 1])
+    _split_gate(character_twist(specialize(standard_rep(n), 1), Fraction(2)), [n - 1, 1])
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+@pytest.mark.parametrize("t", [Fraction(3), Fraction(-7, 2), Fraction(-5, 3)], ids=str)
+def test_split_gate_burau(n, t):
+    _split_gate(specialize(burau_rep(n), t), [n - 1, 1])
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_split_gate_certifies_the_complement(monkeypatch, n):
+    # s1 has the simple eigenvalue 2 on the character only: the kernel spin
+    # is that line, and Norton's test certifies tau_n(23/7) on A on its own
+    rho = direct_sum(character_rep(n, Fraction(2)), specialize(standard_rep(n), Fraction(23, 7)))
+    assert burnside_dimension(rho).dimension == 1 + n * n
+    _split_gate(rho, [1, n], monkeypatch)
+
+
+def _b2(*rows) -> Rep:
+    return Rep(2, [Mat.from_rows([[Fraction(x) for x in row] for row in rows],
+                                 Domain.RATIONAL)])
+
+
+@pytest.mark.parametrize("rho,parts,degree", [
+    # 2I on A, whose span is 1, not (dim A)^2
+    (_b2([1, 0, 0], [0, 2, 0], [0, 0, 2]), [1, 2], 2),
+    # every eigenvalue simple: the complement splits again, twice
+    (_b2([1, 0, 0], [0, 2, 0], [0, 0, 3]), [1, 1, 1], 3),
+    # a Jordan block of 2 on A: Norton's test has no simple eigenvalue there
+    (_b2([2, 1, 0], [0, 2, 0], [0, 0, 1]), [1, 2], 3),
+    # the companion matrix of (x - 1)(x^2 - 2): x^2 - 2 on A, irreducible
+    # over Q but not absolutely, so Norton's test declines there
+    (_b2([0, 0, -2], [1, 0, 2], [0, 1, 1]), [1, 2], 3),
+    # triangular, similar to diag(3, -1, 3, 5): 5, then -1, splits off
+    (_b2([3, 0, 0, 0], [1, -1, 0, 0], [0, 0, 3, 0], [2, 0, 1, 5]), [1, 1, 2], 3),
+], ids=["two-on-A", "all-simple", "jordan", "companion", "triangular"])
+def test_split_gate_one_matrix(rho, parts, degree):
+    # the span of one matrix's powers is the degree of its minimal polynomial
+    assert len(analysis._monic(analysis.minpoly(rho.gen(1)))) - 1 == degree
+    assert burnside_dimension(rho).dimension == degree
+    _split_gate(rho, parts)
+
+
+def test_split_needs_s_and_a_to_meet_in_zero():
+    # the kernel vector e2 of s1 - 3I spins to S = span(e1, e2), and the dual
+    # spin of e2 to span(e2, e3), whose annihilator is A = span(e1): the
+    # dimensions add up to 3, but S contains A, so there is no split; the
+    # image is the upper triangular matrices
+    a = Mat.from_rows([[Fraction(x) for x in row] for row in ([1, 0, 0], [0, 3, 0], [0, 0, 2])],
+                      Domain.RATIONAL)
+    b = Mat.from_rows([[Fraction(x) for x in row] for row in ([1, 1, 0], [0, 1, 1], [0, 0, 1])],
+                      Domain.RATIONAL)
+    rho = Rep(3, [a, b], check=False)
+    assert_witness(rho, analysis._norton(rho))
+    _span_kept(rho, 6)
+
+
+def test_split_leaves_the_other_inputs_to_the_closure():
+    rho = specialize(standard_rep(5), Fraction(23, 7))
+    _span_kept(direct_sum(rho, rho), 25)  # no simple eigenvalue
+    # the dual-only witness of test_exact_norton_needs_the_dual_spin: the
+    # kernel spin is full, so S = V meets A
+    a = Mat.from_rows([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]], Domain.RATIONAL)
+    b = Mat.from_rows([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]], Domain.RATIONAL)
+    _span_kept(Rep(3, [a, b], check=False), 3)
+    _span_kept(reduced_burau_sqrt2(4), 18)  # the 1 + sqrt 2 pair
+    # complex input keeps the closure beside a verified witness
+    report, witness, calls = _measured(reduced_burau_b3(cmath.exp(2j * cmath.pi / 3)))
+    assert calls and witness is not None and (report.method, report.dimension) == ("span", 3)
+
+
 def _loop_gram_schmidt(vectors, tol):
     # reference: one vector at a time, re-orthogonalized once
     basis, kept = [], []
