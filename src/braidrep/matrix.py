@@ -686,7 +686,29 @@ def mat_from_json(d: dict) -> Mat:
     entries = d["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise SchemaError("entries must be a list of length rows*cols")
+    if domain is Domain.COMPLEX:
+        z = _complex_pairs(entries)
+        if z is not None:
+            return Mat(rows, cols, domain, z)
     return Mat(rows, cols, domain, [entry_from_json(v, domain) for v in entries])
+
+
+def _complex_pairs(entries: list) -> np.ndarray | None:
+    """A list of finite [re, im] pairs of JSON numbers, decoded by one
+    np.array, as the complex values entry_from_json gives them; None for
+    anything else (strings, bare numbers, other lengths, non-finite values,
+    pairs of bools only), which entry_from_json decodes or rejects one entry
+    at a time.  A bool among numbers reads as 1 or 0 on either path."""
+    try:
+        pairs = np.array(entries)
+    except (ValueError, OverflowError):  # ragged, or bare numbers among pairs
+        return None
+    if pairs.dtype.kind not in "if" or pairs.shape != (len(entries), 2):
+        return None
+    pairs = np.ascontiguousarray(pairs, dtype=float)
+    if not np.isfinite(pairs).all():
+        return None
+    return pairs.view(complex)[:, 0]  # re and im bit for bit, as complex(re, im)
 
 
 # ---------------------------------------------------------------------------

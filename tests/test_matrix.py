@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from braidrep.errors import ClusterAmbiguous, NotInvertible, SchemaError
 from braidrep.laurent import LaurentPoly
+from braidrep import matrix
 from braidrep.matrix import (
     Domain,
     Mat,
@@ -519,6 +520,68 @@ def test_mat_json_roundtrip_complex():
     d = m.to_json_dict()
     assert d["entries"][0] == [1.0, 2.0]
     assert mat_from_json(d) == m
+
+
+def _decoded(entries, decode):
+    """(entry bytes, None) or (None, SchemaError message) for a 2 x 2
+    complex matrix decoded by decode."""
+    try:
+        m = decode({"rows": 2, "cols": 2, "domain": "complex", "entries": entries})
+    except SchemaError as exc:
+        return None, str(exc)
+    return m.entries.tobytes(), None
+
+
+def _entry_by_entry(d):
+    # the per-entry path, as mat_from_json ran it on every complex matrix
+    return Mat(d["rows"], d["cols"], Domain.COMPLEX,
+               [matrix.entry_from_json(v, Domain.COMPLEX) for v in d["entries"]])
+
+
+def test_mat_json_decodes_complex_pairs_in_one_array():
+    entries = [[1, -0.0], [0.5, 2], [-0.0, 1e308], [-3, 2 ** 60 + 1]]
+    assert matrix._complex_pairs(entries) is not None
+    assert _decoded(entries, mat_from_json) == _decoded(entries, _entry_by_entry)
+    assert _decoded(entries, mat_from_json)[0] is not None
+
+
+@pytest.mark.parametrize("entries", [
+    [[1, 0], [float("nan"), 0], [0, 0], [1, 1]],
+    [[1, 0], [0, float("inf")], [0, 0], [1, 1]],
+    [[1, 0], ["nan", 0], [0, 0], [1, 1]],
+    [[1, 0], [0, 1, 2], [0, 0], [1, 1]],
+    [[1, 0, 0], [0, 1, 2], [0, 0, 1], [1, 1, 1]],
+    [["1.5", "2"], [0, "-0.0"], ["1e3", 0], [1, 1]],
+    [["one", 0], [0, 0], [0, 0], [1, 1]],
+    [[1, 2], 3, [0, 0], 2.5],
+    [1, 2.5, -0.0, 4],
+    [[1, 2], None, [0, 0], [1, 1]],
+    [[[1], [2]], [[0], [0]], [[0], [0]], [[1], [1]]],
+    [[10 ** 400, 0], [0, 0], [0, 0], [1, 1]],
+], ids=["nan", "inf", "nan-string", "triple", "all-triples", "strings", "bad-string",
+        "bare-mixed", "all-bare", "null", "nested", "huge-int"])
+def test_mat_json_irregular_complex_entries_take_the_entry_path(entries):
+    # anything but finite number pairs is decoded, or rejected with the same
+    # message, exactly as the per-entry path decodes it
+    assert matrix._complex_pairs(entries) is None
+    try:
+        old = _decoded(entries, _entry_by_entry)
+    except OverflowError:  # float() of a huge int escapes entry_from_json
+        with pytest.raises(OverflowError):
+            mat_from_json({"rows": 2, "cols": 2, "domain": "complex", "entries": entries})
+        return
+    assert _decoded(entries, mat_from_json) == old
+
+
+@pytest.mark.parametrize("entries", [
+    [[True, False], [0, 0], [False, 1], [1, 1]],
+    [[True, False], [False, True], [False, False], [True, True]],
+], ids=["bools", "all-bools"])
+def test_mat_json_complex_bools_decode_as_the_entry_path_does(entries):
+    # JSON true and false load as bool, an int: float() reads them as 1 and
+    # 0, and so does np.array among numbers, so either path gives one value
+    assert _decoded(entries, mat_from_json) == _decoded(entries, _entry_by_entry)
+    assert _decoded(entries, mat_from_json)[0] is not None
 
 
 def test_mat_json_rejects_malformed():
