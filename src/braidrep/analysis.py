@@ -48,7 +48,10 @@ runs it in the input's domain: exact over the rationals (Holt and Rees,
 1994), at the three sample points for Laurent input, which give no
 subspace, numeric over the complex numbers.  _irreducibility is the one
 rule of the irreducible command and classify: the test decides, and the
-span closure decides only what the test leaves open.
+span closure decides only what the test leaves open.  For the span
+dimension that the irreducible command reports, the two exact spins also
+split a reducible rational module when they can (_split), and the closure
+then runs at most on the complement.
 
 Exact domains are kept exact wherever eigenvalues are rational; everything
 else runs on the complexification with max-norm residual reporting.  Laurent
