@@ -184,7 +184,7 @@ def entry_from_json(v, domain: Domain):
         if not cmath.isfinite(z):
             raise ValueError("complex entries must be finite")
         return z
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise SchemaError("bad %s entry %r: %s" % (domain.value, v, exc)) from exc
 
 
