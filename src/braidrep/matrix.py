@@ -701,7 +701,7 @@ def _complex_pairs(entries: list) -> np.ndarray | None:
     at a time.  A bool among numbers reads as 1 or 0 on either path."""
     try:
         pairs = np.array(entries)
-    except (ValueError, OverflowError):  # ragged, or bare numbers among pairs
+    except ValueError:  # ragged, or bare numbers among pairs
         return None
     if pairs.dtype.kind not in "if" or pairs.shape != (len(entries), 2):
         return None
