@@ -46,17 +46,18 @@ Norton's test certifies irreducibility, and so a full span by Burnside's
 theorem, or returns the invariant subspace a short spin found.  _norton
 runs it in the input's domain: exact over the rationals (Holt and Rees,
 1994), at the three sample points for Laurent input, which give no
-subspace, numeric over the complex numbers.  _irreducibility is the one
-rule of the irreducible command and classify: the test decides, and the
-span closure decides only what the test leaves open.  For the span
-dimension that the irreducible command reports, the two exact spins also
-split a reducible rational module when they can (_split), and the closure
-then runs at most on the complement.
+subspace, numeric over the complex numbers.  Each level of the test
+returns one pair (span, witness): a full span for a certificate, a
+witness for a short spin, both when the two exact spins split a reducible
+rational module (_split, which runs the closure at most on the
+complement), and neither when the test declines.  _irreducibility is the
+one rule of the irreducible command and classify: it returns that pair,
+and the span closure runs only where the pair leaves the span open.
 
 Exact domains are kept exact wherever eigenvalues are rational; everything
 else runs on the complexification with max-norm residual reporting.  Laurent
 inputs are probed through a fixed set of three rational specializations and
-must agree, otherwise GenericDisagreement is raised.
+must agree (_agreed), otherwise GenericDisagreement is raised.
 """
 
 from __future__ import annotations
@@ -148,6 +149,15 @@ def _sample_points() -> list[Fraction]:
 
 def _generic_note(pts: list[Fraction]) -> str:
     return "generic value; specializations at t=%s agree" % ", ".join(map(str, pts))
+
+
+def _agreed(what: str, values: list[int], pts: list[Fraction]) -> int:
+    """The value that every sample point gives; GenericDisagreement, naming
+    each point's value, when they differ."""
+    if len(set(values)) != 1:
+        raise GenericDisagreement("%s differs across specializations (%s)" % (
+            what, ", ".join("t=%s: %d" % (u, v) for u, v in zip(pts, values))))
+    return values[0]
 
 
 def scalar_to_json(x):
@@ -325,12 +335,9 @@ def corank(rho: Rep, tol: float = DEFAULT_TOL,
     g = rho.gen(1)
     if rho.domain is Domain.LAURENT:
         pts = _sample_points()
-        results = [(u, _corank_of_matrix(g.eval_at(u), tol, cluster_tol)) for u in pts]
-        values = {best[1] for _, (best, _) in results}
-        if len(values) != 1:
-            detail = ", ".join("t=%s: %d" % (u, best[1]) for u, (best, _) in results)
-            raise GenericDisagreement("corank differs across specializations (%s)" % detail)
-        _, (best, table) = results[0]
+        results = [_corank_of_matrix(g.eval_at(u), tol, cluster_tol) for u in pts]
+        _agreed("corank", [best[1] for best, _ in results], pts)
+        best, table = results[0]
         return CorankReport(rho.degree, rho.domain, best[1], best[0], best[2],
                             table, _generic_note(pts))
     best, table = _corank_of_matrix(g, tol, cluster_tol)
@@ -601,18 +608,10 @@ def burnside_dimension(rho: Rep, tol: float = DEFAULT_TOL,
     """
     if rho.domain is Domain.LAURENT:
         pts = _sample_points()
-        dims = []
-        gens_max = 0
-        for u in pts:
-            d, g = _image_span([m.eval_at(u) for m in rho.gens], rho.degree,
-                               Domain.RATIONAL, tol, max_generations)
-            dims.append(d)
-            gens_max = max(gens_max, g)
-        if len(set(dims)) != 1:
-            raise GenericDisagreement(
-                "span dimension differs across specializations (%s)"
-                % ", ".join("t=%s: %d" % (u, d) for u, d in zip(pts, dims)))
-        return BurnsideReport(rho.degree, rho.domain, dims[0], gens_max,
+        spans = [_image_span([m.eval_at(u) for m in rho.gens], rho.degree,
+                             Domain.RATIONAL, tol, max_generations) for u in pts]
+        dim = _agreed("span dimension", [d for d, _ in spans], pts)
+        return BurnsideReport(rho.degree, rho.domain, dim, max(g for _, g in spans),
                               _generic_note(pts))
     dim, generations = _image_span(list(rho.gens), rho.degree, rho.domain,
                                    tol, max_generations)
@@ -625,26 +624,17 @@ def _irreducibility(rho: Rep, closure, tol: float = DEFAULT_TOL,
                     ) -> tuple[BurnsideReport | None, InvariantSubspaceReport | None]:
     """The irreducibility rule of the irreducible command and classify:
     (span report, witness), irreducible when the report is full and there
-    is no witness.  Norton's certificate or witness decides; closure, the
-    caller's own burnside_dimension call, runs when the test gives neither,
-    or to measure the span beside a witness.  A short complex span may
-    under-count, so it needs a verified witness from
-    invariant_subspace_search, else IrreducibilityUndecided.
-
-    With measure, a RATIONAL module that Norton's two spins split
-    (_split) is measured from the split instead of by closure: the report
-    has method "split", and the witness is the kernel spin.
+    is no witness.  Norton's pair (_norton) stands when it has a report, or
+    a witness that nobody measures.  Otherwise closure, the caller's own
+    burnside_dimension call, gives the report: when the test gives neither,
+    or, with measure, to measure the span beside a witness that did not
+    split the module.  A short complex span may under-count, so it needs a
+    verified witness from invariant_subspace_search, else
+    IrreducibilityUndecided.
     """
-    witness = _norton(rho, tol, cluster_tol, max_generations, split=measure)
-    if isinstance(witness, BurnsideReport):
-        return witness, None
-    if isinstance(witness, _Split):
-        dim, generations, parts = _split_span(witness, max_generations)
-        note = "Norton's spins split the module as %s" % " + ".join(map(str, parts))
-        return (BurnsideReport(rho.degree, rho.domain, dim, generations, note, "split"),
-                witness.witness)
-    if witness is not None and not measure:
-        return None, witness
+    span, witness = _norton(rho, tol, cluster_tol, max_generations, split=measure)
+    if span is not None or witness is not None and not measure:
+        return span, witness
     span = closure()
     if witness is None and not span.full and rho.domain is Domain.COMPLEX:
         found = invariant_subspace_search(rho, tol=tol, cluster_tol=cluster_tol)
@@ -659,63 +649,73 @@ def _irreducibility(rho: Rep, closure, tol: float = DEFAULT_TOL,
 def _norton(rho: Rep, tol: float = DEFAULT_TOL,
             cluster_tol: float = DEFAULT_CLUSTER_TOL,
             max_generations: int | None = None, split: bool = False
-            ) -> BurnsideReport | InvariantSubspaceReport | _Split | None:
-    """Norton's irreducibility test in rho's own domain: a certificate, a
-    witness, or None; with split, a RATIONAL module that the test's two
-    spins split comes back as that _Split.
+            ) -> tuple[BurnsideReport | None, InvariantSubspaceReport | None]:
+    """Norton's irreducibility test in rho's own domain, as the pair (span
+    report, witness): (full report, None) for a certificate, (None,
+    witness) for a short spin (_full_spins) that _checked accepts, with
+    split (split report, witness) for a RATIONAL module that the test's two
+    spins split (_split), and (None, None) otherwise, a spin past
+    max_generations included.
 
     A COMPLEX rep runs the numeric test, a RATIONAL one the exact test
     (_exact_norton), and a LAURENT one the exact test at the three fixed
-    sample points, all of which must certify.  Returns the full report,
-    with the spins' largest generation count, when the test certifies, and
-    the witness of a short spin (_full_spins) once _checked accepts it.
-    Returns None otherwise, a spin past max_generations included, and for
-    LAURENT input: a subspace at one sample point is not one of the family.
+    sample points, all of which must certify: a subspace at one sample
+    point is not one of the family.  A certificate's report has method
+    "norton" and the spins' largest generation count, a split's method
+    "split" and a note naming the summands.
     """
+    n, notes = rho.degree, ""
     if rho.domain is Domain.COMPLEX:
-        found, notes = [_complex_norton(rho, tol, cluster_tol, max_generations)], ""
+        span, witness = _complex_norton(rho, tol, cluster_tol, max_generations)
     elif rho.domain is Domain.RATIONAL:
-        found, notes = [_exact_norton(list(rho.gens), max_generations, split)], ""
+        span, witness = _exact_norton(list(rho.gens), max_generations, split)
     else:
         pts = _sample_points()
-        found, notes = [], _generic_note(pts)
+        notes, counts = _generic_note(pts), []
         for u in pts:
-            found.append(_exact_norton([m.eval_at(u) for m in rho.gens], max_generations))
-            if not isinstance(found[-1], int):
-                return None
-    if not isinstance(found[-1], int):  # a witness to check, or None
-        return found[-1] and _checked(rho, found[-1], tol)
-    n = rho.degree
-    return BurnsideReport(n, rho.domain, n * n, max(found), notes, "norton")
+            span, _ = _exact_norton([m.eval_at(u) for m in rho.gens], max_generations)
+            if span is None:
+                return None, None
+            counts.append(span[1])
+        span, witness = (n * n, max(counts), [n]), None
+    if span is None:
+        return None, witness and _checked(rho, witness, tol)
+    dim, generations, parts = span
+    if len(parts) > 1:
+        notes = "Norton's spins split the module as %s" % " + ".join(map(str, parts))
+    return BurnsideReport(n, rho.domain, dim, generations, notes,
+                          "norton" if len(parts) == 1 else "split"), witness
 
 
 def _full_spins(spins, n: int, max_generations: int | None, both: bool = False
-                ) -> tuple[list[int], InvariantSubspaceReport | None] | None:
+                ) -> tuple[int | None, InvariantSubspaceReport | None]:
     """Spin the kernel seed and then the dual one, each (seed, ops, basis):
-    the generation count of each spin that ran, and the invariant subspace
-    of the first short spin, its span or for the dual spin its annihilator,
-    or None when both reach dimension n.  A short kernel spin ends the run
-    unless both is set.  None past max_generations, except that with both a
-    dual spin past it leaves the kernel spin's witness."""
+    the largest generation count of the spins that ran, and the invariant
+    subspace of the first short spin, its span or for the dual spin its
+    annihilator, or None when both reach dimension n.  A short kernel spin
+    ends the run unless both is set.  The count is None past
+    max_generations, and so is the witness, except that with both a dual
+    spin past it leaves the kernel spin's witness."""
     generations, witness = [], None
     for k, (seed, ops, basis) in enumerate(spins):
         try:
             generations.append(_spin([seed], ops, basis, n, max_generations))
         except ClosureDiverged:
-            return witness and (generations, witness)
+            return None, witness
         if basis.dim < n and witness is None:
             span = _spun(basis, dual=k == 1)
             note = "Norton's %s spin stopped at %d" % (("kernel", "dual")[k], basis.dim)
             witness = InvariantSubspaceReport(True, span.cols, span, 1, note)
             if not both:
                 break
-    return generations, witness
+    return max(generations), witness
 
 
-def _complex_norton(rho: Rep, tol: float, cluster_tol: float,
-                    max_generations: int | None) -> int | InvariantSubspaceReport | None:
-    """Norton's test on a COMPLEX rep: the spins' largest generation count
-    when it certifies, the witness of a short spin, else None.
+def _complex_norton(rho: Rep, tol: float, cluster_tol: float, max_generations: int | None
+                    ) -> tuple[tuple[int, int, list[int]] | None, InvariantSubspaceReport | None]:
+    """Norton's test on a COMPLEX rep, as _norton's pair with the raw span
+    (n^2, the spins' largest generation count, [n]) for a certificate and
+    the unchecked witness of a short spin.
 
     Take theta = rho(s1) - lam*I for the first simple eigenvalue lam whose
     kernel v and transposed kernel w both have nullity 1.  The module is
@@ -731,7 +731,7 @@ def _complex_norton(rho: Rep, tol: float, cluster_tol: float,
         clusters = eigen_numeric(rho.gen(1), cluster_tol)
         duals = [rho.gen_inverse(i).as_numpy().T for i in range(1, rho.strands)]
     except (ClusterAmbiguous, NotInvertible):
-        return None
+        return None, None
     gens = [g.as_numpy() for g in rho.gens]
     for lam, mult in clusters:
         if mult != 1:
@@ -741,10 +741,12 @@ def _complex_norton(rho: Rep, tol: float, cluster_tol: float,
         w = _np_nullspace(theta.T, tol)
         if v.shape[1] != 1 or w.shape[1] != 1:
             continue
-        found = _full_spins(((v[:, 0], gens, _OrthoBasis(tol)),
-                             (w[:, 0], duals, _OrthoBasis(tol))), n, max_generations)
-        return found and (found[1] or max(found[0]))
-    return None
+        generations, witness = _full_spins(((v[:, 0], gens, _OrthoBasis(tol)),
+                                            (w[:, 0], duals, _OrthoBasis(tol))),
+                                           n, max_generations)
+        full = generations is not None and witness is None
+        return ((n * n, generations, [n]) if full else None), witness
+    return None, None
 
 
 # -- polynomials over Q, ascending Fraction coefficients ---------------------
@@ -817,13 +819,15 @@ class _PairBasis(_EchelonBasis):
 
 
 def _exact_norton(gens: list[Mat], max_generations: int | None, split: bool = False
-                  ) -> int | InvariantSubspaceReport | _Split | None:
+                  ) -> tuple[tuple[int, int, list[int]] | None, InvariantSubspaceReport | None]:
     """Norton's test over Q (Holt and Rees, "Testing modules for
-    irreducibility", 1994, section 2), on the RATIONAL generator images:
-    the spins' largest generation count when it certifies that the module
-    is absolutely irreducible, the exact witness of a short spin, else None.
-    With split and a rational root, both spins run even when the kernel
-    spin stops short, and a module they split comes back as its _Split.
+    irreducibility", 1994, section 2), on the RATIONAL generator images, as
+    _norton's pair with a raw span (dimension, generation count, summand
+    dimensions): (n^2, the spins' largest count, [n]) when the test
+    certifies that the module is absolutely irreducible, and the exact
+    witness of a short spin.  With split and a rational root, both spins
+    run even when the kernel spin stops short, and a module they split
+    comes back with its span from _split beside the kernel spin's witness.
 
     Let p be the part of multiplicity one of the characteristic polynomial
     of a = rho(s1), found without factoring, and q an irreducible factor of
@@ -854,28 +858,26 @@ def _exact_norton(gens: list[Mat], max_generations: int | None, split: bool = Fa
     elif pair:
         theta = poly_eval_matrix(p, a)
     else:
-        return None
+        return None, None
     kernel = nullspace(theta)
     dual_kernel = nullspace(theta.transpose())
     if len(kernel) != (2 if pair else 1):  # theta^T has the same nullity
-        return None
+        return None, None
     ops = [_integer_array(g) for g in gens]
     v = kernel[0]
     seed = Mat.from_columns([v, a @ v]) if pair else v
     spun = _PairBasis() if pair else _EchelonBasis()
     dual = _EchelonBasis()
     both = split and not pair
-    found = _full_spins(((_integer_array(seed), ops, spun),
-                         (_integer_array(dual_kernel[0]), [g.T for g in ops], dual)),
-                        n, max_generations, both)
-    if found is None:
-        return None
-    generations, witness = found
+    generations, witness = _full_spins(
+        ((_integer_array(seed), ops, spun),
+         (_integer_array(dual_kernel[0]), [g.T for g in ops], dual)),
+        n, max_generations, both)
+    if generations is None or witness is None and pair and _commutes(spun.pairs, ops):
+        return None, witness
     if witness is None:
-        return None if pair and _commutes(spun.pairs, ops) else max(generations)
-    if both and len(generations) == 2:
-        return _split(gens, spun, dual, witness, max(generations)) or witness
-    return witness
+        return (n * n, generations, [n]), None
+    return (_split(gens, spun, dual, generations, max_generations) if both else None), witness
 
 
 def _commutes(pairs: list[np.ndarray], ops: list[np.ndarray]) -> bool:
@@ -887,20 +889,13 @@ def _commutes(pairs: list[np.ndarray], ops: list[np.ndarray]) -> bool:
     return graph.dim == len(pairs)
 
 
-@dataclass(frozen=True)
-class _Split:
-    """V = S + A, split by Norton's two spins at a simple rational
-    eigenvalue lam of rho(s1): S is the kernel spin, witness's subspace,
-    and complement the generators on A, the annihilator of the dual spin."""
-    witness: InvariantSubspaceReport
-    complement: list[Mat]
-    generations: int  # the two spins' largest count
-
-
-def _split(gens: list[Mat], spun: _EchelonBasis, dual: _EchelonBasis,
-           witness: InvariantSubspaceReport, generations: int) -> _Split | None:
-    """The _Split of the two spins of _exact_norton at a rational root, or
-    None unless dim S + dim A = n and S meets A only in 0.
+def _split(gens: list[Mat], spun: _EchelonBasis, dual: _EchelonBasis, generations: int,
+           max_generations: int | None) -> tuple[int, int, list[int]] | None:
+    """The raw span (dimension, generation count, summand dimensions) of V
+    = S + A, split by the two spins of _exact_norton at a simple rational
+    eigenvalue lam of rho(s1), whose largest count is generations: S is the
+    kernel spin, A the annihilator of the dual spin.  None unless dim S +
+    dim A = n and S meets A only in 0.
 
     A is the largest submodule without the kernel vector v: one without v
     lies in the image of theta, since lam is simple, and the image of theta
@@ -908,7 +903,9 @@ def _split(gens: list[Mat], spun: _EchelonBasis, dual: _EchelonBasis,
     S meet A, and when that is 0, S is irreducible, absolutely so as the
     spins do not depend on the field.  lam is an eigenvalue on S and on no
     composition factor of A, so none of those is isomorphic to S, and the
-    image of the group algebra is End(S) times its image on A.
+    image of the group algebra is End(S) times its image on A.  The span is
+    then (dim S)^2 plus the span on A by the same rule: _exact_norton's
+    certificate or split of the generators on A, else the exact closure.
     """
     if spun.dim != dual.dim:  # dim A = n - dim of the dual spin
         return None
@@ -917,7 +914,13 @@ def _split(gens: list[Mat], spun: _EchelonBasis, dual: _EchelonBasis,
     ints = _integer_array(basis)
     if not all(joint.insert(ints[:, k]) for k in range(basis.cols)):
         return None
-    return _Split(witness, _restricted(gens, basis), generations)
+    rest = _restricted(gens, basis)
+    span, _ = _exact_norton(rest, max_generations, split=True)
+    if span is None:
+        k = basis.cols
+        span = (*_image_span(rest, k, Domain.RATIONAL, DEFAULT_TOL, max_generations), [k])
+    dim, more, parts = span
+    return spun.dim ** 2 + dim, max(generations, more), [spun.dim] + parts
 
 
 def _restricted(gens: list[Mat], basis: Mat) -> list[Mat]:
@@ -929,25 +932,6 @@ def _restricted(gens: list[Mat], basis: Mat) -> list[Mat]:
     return [Mat.from_rows([[x / basis.at(r, k) for x in g.row(r)]
                            for k, r in enumerate(rows)], Domain.RATIONAL) @ basis
             for g in gens]
-
-
-def _split_span(split: _Split, max_generations: int | None) -> tuple[int, int, list[int]]:
-    """(span dimension, generation count, summand dimensions) of a split
-    module: (dim S)^2 plus the span on A by the same rule.  Norton's
-    certificate gives (dim A)^2, a further split recurses, and anything
-    else runs the exact closure on A."""
-    gens = split.complement
-    k = gens[0].rows
-    found = _exact_norton(gens, max_generations, split=True)
-    if isinstance(found, _Split):
-        dim, generations, parts = _split_span(found, max_generations)
-    elif isinstance(found, int):
-        dim, generations, parts = k * k, found, [k]
-    else:
-        dim, generations = _image_span(gens, k, Domain.RATIONAL, DEFAULT_TOL, max_generations)
-        parts = [k]
-    s = split.witness.dim
-    return s * s + dim, max(split.generations, generations), [s] + parts
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,11 @@ def assert_witness(rho: Rep, witness, tol: float = 1e-9) -> None:
 
 
 def assert_declined(rho: Rep, norton) -> None:
-    """Norton's test gave no certificate, and any witness it gave holds."""
-    assert not isinstance(norton, BurnsideReport)
-    if norton is not None:
-        assert_witness(rho, norton)
+    """Norton's pair has no certificate, and any witness it gave holds."""
+    report, witness = norton
+    assert report is None
+    if witness is not None:
+        assert_witness(rho, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +331,16 @@ def _complexified_families(n):
 def test_norton_agrees_with_span_closure(n):
     for rho, irreducible in _complexified_families(n):
         closure = burnside_dimension(rho)
-        norton = analysis._norton(rho)
+        norton, witness = analysis._norton(rho)
         assert closure.full is irreducible and closure.method == "span"
         assert isinstance(norton, BurnsideReport) is irreducible
         if irreducible:
+            assert witness is None
             assert norton.method == "norton" and norton.full
             assert norton.dimension == n * n and norton.domain is Domain.COMPLEX
             assert norton.to_json_dict()["method"] == "norton"
         else:
-            assert_declined(rho, norton)
+            assert_declined(rho, (norton, witness))
 
 
 def test_norton_declines_direct_sum():
@@ -357,7 +359,8 @@ def test_norton_certifies_near_zero_u():
     # of the block family it shrinks by u per step and stalls at dimension 4
     for n in (5, 9):
         rho = specialize(standard_rep(n), 3e-3 + 0j)
-        assert analysis._norton(rho).full
+        report, witness = analysis._norton(rho)
+        assert report.full and witness is None
 
 
 # complex u -> a rational point next to it, whose exact closure is the
@@ -380,10 +383,10 @@ COMPLEX_US = {
 @pytest.mark.parametrize("n", [5, 9])
 def test_complex_norton_agrees_with_exact_closure_nearby(n):
     for u, near in COMPLEX_US.items():
-        norton = analysis._norton(specialize(standard_rep(n), u))
+        norton, witness = analysis._norton(specialize(standard_rep(n), u))
         reference = burnside_dimension(specialize(standard_rep(n), near))
         assert isinstance(norton, BurnsideReport) is reference.full, (n, u)
-        assert norton.full and norton.domain is Domain.COMPLEX
+        assert norton.full and norton.domain is Domain.COMPLEX and witness is None
 
 
 # u in {1, 4, 9/4, ...}: the permutation point, square u (x^2 - u splits),
@@ -399,22 +402,23 @@ def test_exact_norton_agrees_with_span_closure(family, n):
     for u in EXACT_US:
         rho = specialize(FAMILIES[family](n), u)
         closure = burnside_dimension(rho)
-        norton = analysis._norton(rho)
+        norton, witness = analysis._norton(rho)
         # every full span is certified, and nothing else is
         assert isinstance(norton, BurnsideReport) is closure.full, (family, n, u)
         if closure.full:
+            assert witness is None
             assert norton.method == "norton" and norton.domain is Domain.RATIONAL
             assert norton.dimension == n * n and norton.generations <= n - 1
         else:
-            assert_declined(rho, norton)
+            assert_declined(rho, (norton, witness))
 
 
 def test_exact_norton_laurent_runs_at_the_sample_points():
-    norton = analysis._norton(standard_rep(5))
+    norton, witness = analysis._norton(standard_rep(5))
     closure = burnside_dimension(standard_rep(5))
     assert norton.method == "norton" and norton.domain is Domain.LAURENT
-    assert norton.full and norton.notes == closure.notes
-    assert analysis._norton(burau_rep(5)) is None
+    assert norton.full and norton.notes == closure.notes and witness is None
+    assert analysis._norton(burau_rep(5)) == (None, None)
 
 
 def test_simple_part_keeps_the_factors_of_multiplicity_one():
@@ -470,7 +474,7 @@ def reduced_burau_sqrt2(n: int) -> Rep:
 def test_exact_norton_declines_reduced_burau_over_q_sqrt2(monkeypatch, n):
     rho = reduced_burau_sqrt2(n)  # checks the braid relations
     verdicts = _spied_commutes(monkeypatch)
-    assert analysis._norton(rho) is None
+    assert analysis._norton(rho) == (None, None)
     assert verdicts == [True]  # both spins were full; the centraliser declined
     assert burnside_dimension(rho).dimension == 2 * (n - 1) ** 2
 
@@ -503,7 +507,7 @@ def test_exact_norton_declines_reducible_sums():
         assert_declined(reducible, analysis._norton(reducible))
         assert not burnside_dimension(reducible).full
     # no simple eigenvalue of multiplicity one, so no spin and no witness
-    assert analysis._norton(double) is None
+    assert analysis._norton(double) == (None, None)
 
 
 def test_exact_norton_needs_the_dual_spin():
@@ -514,7 +518,8 @@ def test_exact_norton_needs_the_dual_spin():
     a = Mat.from_rows([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]], Domain.RATIONAL)
     b = Mat.from_rows([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]], Domain.RATIONAL)
     rho = Rep(3, [a, b], check=False)
-    witness = analysis._norton(rho)
+    report, witness = analysis._norton(rho)
+    assert report is None
     assert_witness(rho, witness)
     assert witness.basis == Mat.column_vector([Fraction(1), Fraction(0)], Domain.RATIONAL)
     assert burnside_dimension(rho).dimension == 3  # the upper triangular matrices
@@ -525,21 +530,21 @@ def test_exact_norton_certifies_a_hidden_rational_basis():
     p = Mat.from_rows([[Fraction((3 * i + 5 * j) % 7 - 3 + (i == j) * 4) for j in range(6)]
                        for i in range(6)], Domain.RATIONAL)
     hidden = Rep(6, [p @ g @ p.inverse() for g in rho.gens])
-    norton = analysis._norton(hidden)
-    assert norton is not None and norton.full
+    norton, witness = analysis._norton(hidden)
+    assert norton is not None and norton.full and witness is None
     assert burnside_dimension(hidden).full
 
 
 def test_exact_norton_declines_past_the_generation_cap():
     rho = specialize(standard_rep(7), Fraction(37, 9))
-    assert analysis._norton(rho, max_generations=6).generations == 6
-    assert analysis._norton(rho, max_generations=5) is None
-    assert analysis._norton(rho, max_generations=0) is None
+    assert analysis._norton(rho, max_generations=6)[0].generations == 6
+    assert analysis._norton(rho, max_generations=5) == (None, None)
+    assert analysis._norton(rho, max_generations=0) == (None, None)
     # the complex test honours the same cap: its spins need 5 generations
     rho = specialize(standard_rep(7), 2.5 + 0.5j)
-    capped = analysis._norton(rho, max_generations=5)
-    assert (capped.method, capped.generations) == ("norton", 5)
-    assert analysis._norton(rho, max_generations=4) is None
+    capped, witness = analysis._norton(rho, max_generations=5)
+    assert (capped.method, capped.generations, witness) == ("norton", 5, None)
+    assert analysis._norton(rho, max_generations=4) == (None, None)
 
 
 # -- the gate: witnesses against the exact closure ----------------------------
@@ -550,10 +555,11 @@ def _gate(rho: Rep, full: bool) -> None:
     complex one where it is reliable.  Norton's test certifies exactly when
     it is full and gives an invariant witness exactly when it is short, and
     the one rule then decides without running the closure."""
-    norton = analysis._norton(rho)
+    norton, found = analysis._norton(rho)
     assert isinstance(norton, BurnsideReport) is full
+    assert (found is None) is full
     if not full:
-        assert_witness(rho, norton)
+        assert_witness(rho, found)
     calls = []
     report, witness = analysis._irreducibility(rho, lambda: calls.append(rho))
     assert not calls
@@ -596,12 +602,12 @@ def test_witness_gate_dual_spin_of_reduced_burau_b3():
     rho = reduced_burau_b3(cmath.exp(2j * cmath.pi / 3))
     assert burnside_dimension(rho).dimension == 3
     _gate(rho, False)
-    assert analysis._norton(rho).note == "Norton's dual spin stopped at 1"
+    assert analysis._norton(rho)[1].note == "Norton's dual spin stopped at 1"
     # in the dual representation rho(s_i)^-T the two spins swap
     dual = Rep(3, [Mat.from_numpy(rho.gen_inverse(i).as_numpy().T) for i in (1, 2)])
     assert burnside_dimension(dual).dimension == 3
     _gate(dual, False)
-    assert analysis._norton(dual).note == "Norton's kernel spin stopped at 1"
+    assert analysis._norton(dual)[1].note == "Norton's kernel spin stopped at 1"
 
 
 @pytest.mark.parametrize("n,u", [(9, 3e-3 + 0j), (9, -3e-3 + 0j), (9, 1.8e-3 + 2.4e-3j),
@@ -622,12 +628,12 @@ def test_norton_drops_a_complex_witness_that_fails_the_check(n):
     # at n = 5 and 1.1e-10 at n = 9, is above tol / 10, so it is no witness;
     # the short complex closure then stands alone, and the rule says so
     rho = specialize(standard_rep(n), 1 + 1e-9 + 0j)
-    raw = analysis._complex_norton(rho, 1e-9, 1e-6, None)
-    assert raw.dim == n - 1
+    span, raw = analysis._complex_norton(rho, 1e-9, 1e-6, None)
+    assert span is None and raw.dim == n - 1
     residuals = [r for _, _, r in subgroup_invariance_check(
         rho, range(1, n), raw.basis, 1e-9).entries]
     assert 1e-10 < max(residuals) < 1e-9
-    assert analysis._norton(rho) is None
+    assert analysis._norton(rho) == (None, None)
     with pytest.raises(IrreducibilityUndecided):
         analysis._irreducibility(rho, lambda: burnside_dimension(rho))
 
@@ -636,7 +642,7 @@ def test_witness_gate_reduced_burau_over_q_sqrt2():
     # irreducible over Q, so there is no rational witness; Norton's test
     # declines and the exact closure decides, short of (2(n - 1))^2
     rho = reduced_burau_sqrt2(4)
-    assert analysis._norton(rho) is None
+    assert analysis._norton(rho) == (None, None)
     report, witness = analysis._irreducibility(rho, lambda: burnside_dimension(rho))
     assert witness is None and report.dimension == 18 and not report.full
 
@@ -735,7 +741,9 @@ def test_split_needs_s_and_a_to_meet_in_zero():
     b = Mat.from_rows([[Fraction(x) for x in row] for row in ([1, 1, 0], [0, 1, 1], [0, 0, 1])],
                       Domain.RATIONAL)
     rho = Rep(3, [a, b], check=False)
-    assert_witness(rho, analysis._norton(rho))
+    report, witness = analysis._norton(rho)
+    assert report is None
+    assert_witness(rho, witness)
     _span_kept(rho, 6)
 
 
@@ -1234,7 +1242,8 @@ def test_invariant_subspace_search_verifies_complex_spans(n, u):
     # search reported dimension 5 (invariance residual 3e-3) at n = 9 and
     # dimension 10 (residual 0.05) at n = 12; each span now fails the check
     rho = specialize(standard_rep(n), u)
-    assert analysis._norton(rho).full
+    report, witness = analysis._norton(rho)
+    assert report.full and witness is None
     rep = invariant_subspace_search(rho)
     assert not rep.found and rep.trials == 30
 

@@ -184,7 +184,7 @@ def test_irreducibility_undecided_without_a_verified_witness(monkeypatch, capsys
     from braidrep import analysis, classify, specialize, standard_rep
     from braidrep.errors import IrreducibilityUndecided
 
-    monkeypatch.setattr(analysis, "_norton", lambda *args, **kwargs: None)
+    monkeypatch.setattr(analysis, "_norton", lambda *args, **kwargs: (None, None))
     with pytest.raises(IrreducibilityUndecided, match="66 of 81"):
         classify(specialize(standard_rep(9), 0.003 + 0j))
     code, doc, _ = run_cli(capsys, "irreducible", "--family", "standard", "--n", "9",
@@ -208,7 +208,7 @@ def test_each_module_runs_the_closure_through_its_own_name(monkeypatch, capsys):
     # exact u = 1 is measured from Norton's split; complex Burau at t = -1
     # gives Norton's test no simple eigenvalue, so the closure runs
     assert main(["irreducible", "--family", "burau", "--n", "4", "--u=-1+0j"]) == 0
-    monkeypatch.setattr(analysis, "_norton", lambda *args, **kwargs: None)
+    monkeypatch.setattr(analysis, "_norton", lambda *args, **kwargs: (None, None))
     assert main(["classify", "--family", "standard", "--n", "5", "--u", "1"]) == 1
     capsys.readouterr()
     assert calls == ["braidrep.cli", "braidrep.classification"]
@@ -222,7 +222,7 @@ def test_irreducible_complex_burau_at_minus_one(capsys, schema, n, dim):
     from test_analysis import assert_witness
 
     rho = specialize(burau_rep(n), -1 + 0j)
-    assert analysis._norton(rho) is None
+    assert analysis._norton(rho) == (None, None)
     assert_witness(rho, invariant_subspace_search(rho))
     code, doc, _ = run_cli(capsys, "irreducible", "--family", "burau", "--n", str(n),
                            "--u=-1+0j")

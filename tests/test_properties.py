@@ -216,13 +216,14 @@ def test_exact_norton_never_certifies_a_partial_span():
             if p.det() != 0:
                 break
         rho = Rep(n, [p @ g @ p.inverse() for g in rho.gens], check=False)
-        norton = analysis._norton(rho)
+        norton, witness = analysis._norton(rho)
         closure = burnside_dimension(rho)
         certified = isinstance(norton, analysis.BurnsideReport)
         assert not certified or closure.full, (n, pick.__name__, d)
+        assert not (certified and witness is not None)
         if pick is standard_rep and d == n and closure.full:
             assert certified, "a full span of the block family declined"
         # a witness is exact, proper and invariant, so the span is short
-        if norton is not None and not certified:
-            assert not closure.full and 0 < norton.dim < d
-            assert subgroup_invariance_check(rho, range(1, n), norton.basis).ok
+        if witness is not None:
+            assert not closure.full and 0 < witness.dim < d
+            assert subgroup_invariance_check(rho, range(1, n), witness.basis).ok
