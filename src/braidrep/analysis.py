@@ -633,7 +633,7 @@ def _irreducibility(rho: Rep, closure, tol: float = DEFAULT_TOL,
     IrreducibilityUndecided.
     """
     span, witness = _norton(rho, tol, cluster_tol, max_generations, split=measure)
-    if span is not None or witness is not None and not measure:
+    if span is not None or (witness is not None and not measure):
         return span, witness
     span = closure()
     if witness is None and not span.full and rho.domain is Domain.COMPLEX:
@@ -873,7 +873,7 @@ def _exact_norton(gens: list[Mat], max_generations: int | None, split: bool = Fa
         ((_integer_array(seed), ops, spun),
          (_integer_array(dual_kernel[0]), [g.T for g in ops], dual)),
         n, max_generations, both)
-    if generations is None or witness is None and pair and _commutes(spun.pairs, ops):
+    if generations is None or (witness is None and pair and _commutes(spun.pairs, ops)):
         return None, witness
     if witness is None:
         return (n * n, generations, [n]), None
