@@ -429,7 +429,7 @@ class _OrthoBasis:
     def insert(self, v: np.ndarray) -> bool:
         w = np.array(v, dtype=complex).ravel()
         n0 = np.linalg.norm(w)
-        if n0 == 0.0:
+        if n0 == 0.0 or not np.isfinite(n0):  # a NaN or inf would fill a column
             return False
         if self.q is None:
             self.q = np.empty((w.size, w.size), dtype=complex)

@@ -10,7 +10,8 @@ so identical invocations produce byte-identical reports.
 
 Exit codes: 0 on success, 1 when the mathematics fails (a named error such
 as NotIrreducible or DegenerateU is reported in the envelope), 2 on bad
-usage or malformed input.  A command line that does not parse reports the
+usage, malformed input, or input too large for the memory at hand
+(MemoryError).  A command line that does not parse reports the
 error name UsageError, with command null when no subcommand was read.
 Reports are strict JSON: a non-finite number is written as null.
 
@@ -439,6 +440,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         env.update(ok=False,
                    error={"name": type(exc).__name__, "message": str(exc)})
+        code = 2
+    except MemoryError:  # its message is usually empty
+        env.update(ok=False, error={"name": "MemoryError",
+                                    "message": "input too large for the memory at hand"})
         code = 2
     else:
         env.update(payload)

@@ -651,7 +651,7 @@ class Mat:
             except np.linalg.LinAlgError as exc:
                 raise NotInvertible(str(exc)) from exc
             resid = float(np.max(np.abs(a @ inv - np.eye(self.rows)))) if self.rows else 0.0
-            if resid > tol:
+            if not resid <= tol:  # a NaN residual, from an overflowing inverse, fails too
                 raise NotInvertible("inverse residual %.3g exceeds tolerance %.3g" % (resid, tol))
             return Mat.from_numpy(inv)
         return _exact_inverse(self)

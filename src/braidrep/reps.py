@@ -18,6 +18,7 @@ hold identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,7 +81,12 @@ class RelationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((e.residual for e in self.entries), default=0.0)
+        """The largest residual, or NaN when any is NaN: max() keeps a NaN
+        only when it comes first."""
+        residuals = [e.residual for e in self.entries]
+        if any(math.isnan(r) for r in residuals):
+            return math.nan
+        return max(residuals, default=0.0)
 
     @property
     def ok(self) -> bool:

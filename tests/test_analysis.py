@@ -794,6 +794,15 @@ def test_ortho_basis_matches_loop_gram_schmidt():
     assert np.allclose(q @ q.conj().T, r @ r.conj().T, atol=1e-12)
 
 
+def test_ortho_basis_refuses_non_finite_vectors():
+    # a NaN norm passed "n1 <= tol" and filled columns past the last one
+    basis = analysis._OrthoBasis(1e-9)
+    assert basis.insert(np.array([1.0, 0.0]))
+    for v in ([np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan], [0.0, 0.0]):
+        assert not basis.insert(np.array(v))
+    assert basis.dim == 1 and basis.insert(np.array([1.0, 1.0])) and basis.dim == 2
+
+
 def _loop_spin(seeds, ops, basis, limit, max_generations=None):
     # reference: the complex spin with every product inserted in turn
     frontier = [x for x in map(analysis._scaled, seeds) if basis.insert(x)]

@@ -454,6 +454,50 @@ def test_rep_file_with_non_finite_entry_is_schema_error(capsys, tmp_path, schema
     assert doc["error"]["name"] == "SchemaError"
 
 
+@pytest.mark.parametrize("argv", [
+    # the unreduced Burau module fixes the all-ones vector, so it is reducible
+    ["--family", "burau", "--n", "4", "--u=1e-320+0j"],
+    ["--family", "standard", "--n", "3", "--u=1e-320+0j"],
+    ["--family", "standard", "--n", "4", "--u=1e-320+0j"],
+    ["--family", "standard", "--n", "9", "--u=1e-310+0j"],
+], ids=["burau-4", "standard-3", "standard-4", "standard-9"])
+def test_overflowing_inverse_is_not_invertible(capsys, schema, argv):
+    # 1/u overflows to inf, so the inverse residual is NaN: it must fail the
+    # tolerance, not certify the module or spin NaN vectors into a basis
+    code, doc, out = run_cli(capsys, "irreducible", *argv)
+    assert code == 1 and out.count('"schema"') == 1
+    check(schema, doc)
+    assert doc["error"]["name"] == "NotInvertible" and "irreducible" not in doc
+
+
+def test_nan_relation_residual_fails_the_check(capsys, schema, tmp_path):
+    # finite entries, but one relation residual is NaN
+    import numpy as np
+    from braidrep import Rep
+    from test_reps import nan_residual_gens
+
+    path = tmp_path / "nan_residual.json"
+    path.write_text(json.dumps(Rep(5, nan_residual_gens(), check=False).to_json_dict()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, doc, out = run_cli(capsys, "relations", "--rep", str(path))
+    assert code == 1 and out.count('"schema"') == 1
+    check(schema, doc)
+    assert doc["error"]["name"] == "RelationFailure"
+
+
+def test_memory_error_is_reported_in_the_envelope(capsys, schema, monkeypatch):
+    from braidrep import cli
+
+    def too_large(n):
+        raise MemoryError()
+    monkeypatch.setitem(cli._FAMILIES, "standard", too_large)
+    code, doc, out = run_cli(capsys, "gen", "--family", "standard", "--n", "30000")
+    assert code == 2 and out.count('"schema"') == 1
+    check(schema, doc)
+    assert doc["ok"] is False and doc["error"]["name"] == "MemoryError"
+    assert doc["error"]["message"] == "input too large for the memory at hand"
+
+
 # -- exit codes and determinism ---------------------------------------------
 
 

@@ -146,6 +146,9 @@ def test_inverse_errors():
         Mat.from_rows([[T + 1]], Domain.LAURENT).inverse()
     with pytest.raises(NotInvertible):
         Mat.from_numpy(np.array([[1.0, 1.0], [1.0, 1.0]])).inverse()
+    # 1/1e-320 overflows to inf, so the residual is NaN and must not pass
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotInvertible):
+        Mat.from_numpy(np.diag([1e-320 + 0j, 1])).inverse()
 
 
 def test_negative_power_uses_inverse():

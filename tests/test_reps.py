@@ -1,9 +1,11 @@
 """Tests for the representation families and transforms."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,6 +213,31 @@ def test_relation_failure_on_construction():
     bad[0] = Mat(3, 3, Domain.LAURENT, ent)
     with pytest.raises(RelationFailure):
         Rep(3, bad)
+
+
+def nan_residual_gens() -> list[Mat]:
+    """Complex tau_5(2) conjugated by P = I + 1e160 E_53: the entries are
+    finite, and the third relation residual is NaN."""
+    p = np.eye(5, dtype=complex)
+    p[4, 2] = 1e160
+    q = np.eye(5, dtype=complex)
+    q[4, 2] = -1e160
+    return [Mat.from_numpy(p @ g.as_numpy() @ q)
+            for g in specialize(standard_rep(5), 2 + 0j).gens]
+
+
+def test_nan_relation_residual_is_not_ok():
+    # max() kept a NaN only when it came first, so ok read true
+    gens = nan_residual_gens()
+    assert all(np.isfinite(g.as_numpy()).all() for g in gens)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_braid_relations(Rep(5, gens, check=False))
+        residuals = [e.residual for e in report.entries]
+        assert math.isnan(residuals[2]) and not math.isnan(residuals[0])
+        assert math.isnan(report.max_residual) and not report.ok
+        assert report.to_json_dict()["ok"] is False
+        with pytest.raises(RelationFailure):
+            Rep(5, gens)
 
 
 def test_noninvertible_generator_rejected():
