@@ -654,8 +654,9 @@ def _norton(rho: Rep, tol: float = DEFAULT_TOL,
     report, witness): (full report, None) for a certificate, (None,
     witness) for a short spin (_full_spins) that _checked accepts, with
     split (split report, witness) for a RATIONAL module that the test's two
-    spins split (_split), and (None, None) otherwise, a spin past
-    max_generations included.
+    spins split (_split), and (None, None) otherwise.  The spins stop by
+    dimension; max_generations caps only the span closure that a split
+    runs on its complement.
 
     A COMPLEX rep runs the numeric test, a RATIONAL one the exact test
     (_exact_norton), and a LAURENT one the exact test at the three fixed
@@ -666,14 +667,14 @@ def _norton(rho: Rep, tol: float = DEFAULT_TOL,
     """
     n, notes = rho.degree, ""
     if rho.domain is Domain.COMPLEX:
-        span, witness = _complex_norton(rho, tol, cluster_tol, max_generations)
+        span, witness = _complex_norton(rho, tol, cluster_tol)
     elif rho.domain is Domain.RATIONAL:
         span, witness = _exact_norton(list(rho.gens), max_generations, split)
     else:
         pts = _sample_points()
         notes, counts = _generic_note(pts), []
         for u in pts:
-            span, _ = _exact_norton([m.eval_at(u) for m in rho.gens], max_generations)
+            span, _ = _exact_norton([m.eval_at(u) for m in rho.gens])
             if span is None:
                 return None, None
             counts.append(span[1])
@@ -687,21 +688,17 @@ def _norton(rho: Rep, tol: float = DEFAULT_TOL,
                           "norton" if len(parts) == 1 else "split"), witness
 
 
-def _full_spins(spins, n: int, max_generations: int | None, both: bool = False
-                ) -> tuple[int | None, InvariantSubspaceReport | None]:
+def _full_spins(spins, n: int, both: bool = False
+                ) -> tuple[int, InvariantSubspaceReport | None]:
     """Spin the kernel seed and then the dual one, each (seed, ops, basis):
     the largest generation count of the spins that ran, and the invariant
     subspace of the first short spin, its span or for the dual spin its
     annihilator, or None when both reach dimension n.  A short kernel spin
-    ends the run unless both is set.  The count is None past
-    max_generations, and so is the witness, except that with both a dual
-    spin past it leaves the kernel spin's witness."""
+    ends the run unless both is set.  A spin stops by dimension, after at
+    most n generations, so it takes no generation cap."""
     generations, witness = [], None
     for k, (seed, ops, basis) in enumerate(spins):
-        try:
-            generations.append(_spin([seed], ops, basis, n, max_generations))
-        except ClosureDiverged:
-            return None, witness
+        generations.append(_spin([seed], ops, basis, n))
         if basis.dim < n and witness is None:
             span = _spun(basis, dual=k == 1)
             note = "Norton's %s spin stopped at %d" % (("kernel", "dual")[k], basis.dim)
@@ -711,7 +708,7 @@ def _full_spins(spins, n: int, max_generations: int | None, both: bool = False
     return max(generations), witness
 
 
-def _complex_norton(rho: Rep, tol: float, cluster_tol: float, max_generations: int | None
+def _complex_norton(rho: Rep, tol: float, cluster_tol: float
                     ) -> tuple[tuple[int, int, list[int]] | None, InvariantSubspaceReport | None]:
     """Norton's test on a COMPLEX rep, as _norton's pair with the raw span
     (n^2, the spins' largest generation count, [n]) for a certificate and
@@ -742,10 +739,8 @@ def _complex_norton(rho: Rep, tol: float, cluster_tol: float, max_generations: i
         if v.shape[1] != 1 or w.shape[1] != 1:
             continue
         generations, witness = _full_spins(((v[:, 0], gens, _OrthoBasis(tol)),
-                                            (w[:, 0], duals, _OrthoBasis(tol))),
-                                           n, max_generations)
-        full = generations is not None and witness is None
-        return ((n * n, generations, [n]) if full else None), witness
+                                            (w[:, 0], duals, _OrthoBasis(tol))), n)
+        return ((n * n, generations, [n]) if witness is None else None), witness
     return None, None
 
 
@@ -818,7 +813,7 @@ class _PairBasis(_EchelonBasis):
         return True
 
 
-def _exact_norton(gens: list[Mat], max_generations: int | None, split: bool = False
+def _exact_norton(gens: list[Mat], max_generations: int | None = None, split: bool = False
                   ) -> tuple[tuple[int, int, list[int]] | None, InvariantSubspaceReport | None]:
     """Norton's test over Q (Holt and Rees, "Testing modules for
     irreducibility", 1994, section 2), on the RATIONAL generator images, as
@@ -846,7 +841,9 @@ def _exact_norton(gens: list[Mat], max_generations: int | None, split: bool = Fa
     is spun paired with a v, and the test certifies only when the pairs do
     not span the graph of a map that commutes with the generators.
 
-    Declines on any other p, commuting pairs, or a spin past max_generations.
+    Declines on any other p or commuting pairs.  The spins stop by
+    dimension, so max_generations caps only the closure that _split runs
+    on the complement.
     """
     a = gens[0]
     n = a.rows
@@ -872,9 +869,9 @@ def _exact_norton(gens: list[Mat], max_generations: int | None, split: bool = Fa
     generations, witness = _full_spins(
         ((_integer_array(seed), ops, spun),
          (_integer_array(dual_kernel[0]), [g.T for g in ops], dual)),
-        n, max_generations, both)
-    if generations is None or (witness is None and pair and _commutes(spun.pairs, ops)):
-        return None, witness
+        n, both)
+    if witness is None and pair and _commutes(spun.pairs, ops):
+        return None, None
     if witness is None:
         return (n * n, generations, [n]), None
     return (_split(gens, spun, dual, generations, max_generations) if both else None), witness
@@ -905,7 +902,8 @@ def _split(gens: list[Mat], spun: _EchelonBasis, dual: _EchelonBasis, generation
     composition factor of A, so none of those is isomorphic to S, and the
     image of the group algebra is End(S) times its image on A.  The span is
     then (dim S)^2 plus the span on A by the same rule: _exact_norton's
-    certificate or split of the generators on A, else the exact closure.
+    certificate or split of the generators on A, else the exact closure,
+    which max_generations caps.
     """
     if spun.dim != dual.dim:  # dim A = n - dim of the dual spin
         return None

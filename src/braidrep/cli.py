@@ -299,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                             " domain, else the span dimension of the image"
                             " algebra; full span certifies irreducibility")
     p.add_argument("--max-generations", type=int, default=50,
-                   help="generation cap for Norton's spins and the span"
-                        " closure (default 50)")
+                   help="generation cap for the span closure; Norton's"
+                        " spins stop by dimension (default 50)")
     p.set_defaults(handler=_cmd_irreducible)
 
     p = sub.add_parser("classify", parents=[common, reps],

@@ -535,16 +535,35 @@ def test_exact_norton_certifies_a_hidden_rational_basis():
     assert burnside_dimension(hidden).full
 
 
-def test_exact_norton_declines_past_the_generation_cap():
+def test_norton_spins_take_no_generation_cap():
+    # the spins stop by dimension, so max_generations, which caps the span
+    # closure, leaves Norton's test as it is: 6 generations exact at n = 7
     rho = specialize(standard_rep(7), Fraction(37, 9))
-    assert analysis._norton(rho, max_generations=6)[0].generations == 6
-    assert analysis._norton(rho, max_generations=5) == (None, None)
-    assert analysis._norton(rho, max_generations=0) == (None, None)
-    # the complex test honours the same cap: its spins need 5 generations
+    for cap in (6, 5, 0):
+        span, witness = analysis._norton(rho, max_generations=cap)
+        assert (span.method, span.generations, span.full, witness) == ("norton", 6, True, None)
+    # and 5 complex, under a cap of 4
     rho = specialize(standard_rep(7), 2.5 + 0.5j)
-    capped, witness = analysis._norton(rho, max_generations=5)
-    assert (capped.method, capped.generations, witness) == ("norton", 5, None)
-    assert analysis._norton(rho, max_generations=4) == (None, None)
+    span, witness = analysis._norton(rho, max_generations=4)
+    assert (span.method, span.generations, span.full, witness) == ("norton", 5, True, None)
+
+
+def _no_closure():
+    raise AssertionError("the span closure ran")
+
+
+@pytest.mark.parametrize("n, u, method, generations, dimension", [
+    (52, Fraction(23, 7), "norton", 51, 52 * 52),
+    (53, 2.5 + 0.5j, "norton", 51, 53 * 53),
+    (52, 1, "split", 51, 51 * 51 + 1),
+], ids=["exact_n52", "complex_n53", "split_n52"])
+def test_norton_decides_past_the_default_cap_without_the_closure(n, u, method, generations,
+                                                                 dimension):
+    # the default cap of the irreducible command is 50; Norton's spins here
+    # need 51 generations and decide without the O(n^6) closure
+    rho = specialize(standard_rep(n), u)
+    span, _ = analysis._irreducibility(rho, _no_closure, max_generations=50, measure=True)
+    assert (span.method, span.generations, span.dimension) == (method, generations, dimension)
 
 
 # -- the gate: witnesses against the exact closure ----------------------------
@@ -628,7 +647,7 @@ def test_norton_drops_a_complex_witness_that_fails_the_check(n):
     # at n = 5 and 1.1e-10 at n = 9, is above tol / 10, so it is no witness;
     # the short complex closure then stands alone, and the rule says so
     rho = specialize(standard_rep(n), 1 + 1e-9 + 0j)
-    span, raw = analysis._complex_norton(rho, 1e-9, 1e-6, None)
+    span, raw = analysis._complex_norton(rho, 1e-9, 1e-6)
     assert span is None and raw.dim == n - 1
     residuals = [r for _, _, r in subgroup_invariance_check(
         rho, range(1, n), raw.basis, 1e-9).entries]

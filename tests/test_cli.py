@@ -140,27 +140,25 @@ def test_irreducible_generic_and_permutation_point(capsys, schema):
     assert doc["irreducible"] is False and doc["burnside"]["dimension"] == 5
 
 
-def test_irreducible_exact_norton_and_its_generation_cap(capsys, schema):
+def test_irreducible_norton_takes_no_generation_cap(capsys, schema):
+    # Norton's spins stop by dimension, so --max-generations, which caps the
+    # span closure, leaves them as they are: 6 generations exact at n = 7
     argv = ["irreducible", "--family", "standard", "--n", "7", "--u", "37/9"]
-    code, doc, _ = run_cli(capsys, *argv)
-    assert code == 0
-    check(schema, doc)
-    assert doc["irreducible"] is True
-    assert (doc["burnside"]["method"], doc["burnside"]["generations"]) == ("norton", 6)
-    # Norton's spins need 6 generations at n = 7, so under a cap of 5 they
-    # decline and the span closure, which needs 5, decides
-    code, doc, _ = run_cli(capsys, *argv, "--max-generations", "5")
-    assert code == 0
-    check(schema, doc)
-    assert doc["irreducible"] is True
-    assert (doc["burnside"]["method"], doc["burnside"]["generations"]) == ("span", 5)
-    # the complex test honours the cap too: its spins need 5 generations,
-    # and under a cap of 4 the closure decides and diverges
+    for cap in ([], ["--max-generations", "5"], ["--max-generations", "0"]):
+        code, doc, _ = run_cli(capsys, *argv, *cap)
+        assert code == 0
+        check(schema, doc)
+        assert doc["irreducible"] is True
+        assert (doc["burnside"]["method"], doc["burnside"]["generations"]) == ("norton", 6)
+    # and 5 complex, under a cap of 4
     argv = ["irreducible", "--family", "standard", "--n", "7", "--u", "2.5+0.5j"]
-    code, doc, _ = run_cli(capsys, *argv, "--max-generations", "5")
-    assert code == 0
-    assert (doc["burnside"]["method"], doc["burnside"]["generations"]) == ("norton", 5)
     code, doc, _ = run_cli(capsys, *argv, "--max-generations", "4")
+    assert code == 0
+    check(schema, doc)
+    assert (doc["burnside"]["method"], doc["burnside"]["generations"]) == ("norton", 5)
+    # the cap still stops the closure: complex Norton does not split u = 1
+    code, doc, _ = run_cli(capsys, "irreducible", "--family", "standard", "--n", "7",
+                           "--u=1+0j", "--max-generations", "3")
     assert code == 1
     check(schema, doc)
     assert doc["error"]["name"] == "ClosureDiverged"
