@@ -9,10 +9,12 @@ hidden-basis inputs are twisted families conjugated by a random basis drawn
 from a fixed numpy seed (hidden_n9.rep.json, hidden_n12.rep.json).  The
 command set leaves out real u < 0 with real y and |u| near 3e-3, where
 classify gave wrong verdicts when the goldens were recorded, so every golden
-is a right report.  Five cases pin typed errors, whose envelope exits with
+is a right report.  Four cases pin typed errors, whose envelope exits with
 code 1: u = 1 is reducible over the complex numbers and over the rationals,
-u = 1.0005 recovers a degenerate u, a span closure capped at three
-generations diverges, and an exact 4-strand input fails its far relation.
+u = 1.0005 recovers a degenerate u, and an exact 4-strand input fails its
+far relation.  A cap of three generations bounds the span closure only, so
+Norton's test certifies irreducible_n7_37_9_cap3 with its six-generation
+spins.
 That input, far_fails_n4.rep.json, is a fixed file: the unreduced Burau
 images of B_3 at t = 5/3 for s1 and s2, and s2 s1 s2^-1 for s3.  Its
 adjacent relations hold, so the reported residual is the far one.
