@@ -38,6 +38,7 @@ All residuals are relative max-norm.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -135,7 +136,11 @@ def recover_parameters(rho: Rep, tol: float = DEFAULT_TOL,
     if len(rest) != 2:
         raise NoDominantEigenvalue(
             "expected two residual eigenvalues beside y, got %d" % len(rest))
-    u = -(rest[0] * rest[1]) / (y * y)
+    # divide by y first where y^2 would lose precision below the normal range
+    if abs(y * y) >= sys.float_info.min:
+        u = -(rest[0] * rest[1]) / (y * y)
+    else:
+        u = -(rest[0] / y) * (rest[1] / y)
     if abs(u) <= degenerate_tol or abs(u - 1) <= degenerate_tol:
         raise DegenerateU("recovered u = %s sits at a degenerate point" % u)
     return RecoveredParams(y, u, spectrum)

@@ -63,6 +63,14 @@ def test_recover_parameters_conjugated():
     assert abs(params.u - u) < 1e-8
 
 
+@pytest.mark.parametrize("y", [1e-158, 1e-170, 1e-300])
+def test_recover_parameters_at_a_tiny_twist(y):
+    # below |y| ~ 1.5e-154, y^2 is subnormal or 0: at y = 1e-158 the
+    # quotient by it read u = 2.0000000494, and below 1e-162 it divided by 0
+    params = recover_parameters(character_twist(specialize(standard_rep(9), 2 + 0j), y + 0j))
+    assert abs(params.y - y) < 1e-15 * y and abs(params.u - 2) < 1e-12
+
+
 def test_recover_parameters_needs_dominant_eigenvalue():
     rows = [[Fraction(0)] * 5 for _ in range(5)]
     for i, v in enumerate([2, 2, 3, 3, 4]):
