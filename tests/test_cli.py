@@ -240,6 +240,19 @@ def test_classify_twisted_family(capsys, schema):
     assert abs(cls["y"][0] - 2.0) < 1e-8 and abs(cls["u"][0] - 2.5) < 1e-8
 
 
+@pytest.mark.parametrize("u, y", [("2", "1e-170"), ("2+0j", "1e-170+0j")])
+def test_classify_at_a_twist_whose_square_underflows(capsys, schema, u, y):
+    # y^2 underflows to 0 below |y| ~ 1e-162, so u is read as the product
+    # of the two simple eigenvalues each divided by y
+    code, doc, _ = run_cli(capsys, "classify", "--family", "standard", "--n", "9",
+                           "--u", u, "--y", y)
+    assert code == 0
+    check(schema, doc)
+    cls = doc["classification"]
+    assert cls["certificate"]["verdict"] == "EQUIVALENT"
+    assert cls["y"] == [1e-170, 0.0] and abs(cls["u"][0] - 2.0) < 1e-12
+
+
 def test_classify_reducible_is_math_failure(capsys, schema):
     code, doc, _ = run_cli(capsys, "classify", "--family", "standard",
                            "--strands", "5", "--u", "1")
