@@ -117,6 +117,8 @@ class Rep:
                 "expected %d generator images, got %d" % (strands - 1, len(gens))
             )
         degree = gens[0].rows
+        if degree < 1:
+            raise ValueError("a representation needs degree at least 1")
         domain = gens[0].domain
         for g in gens:
             if not g.is_square or g.rows != degree or g.domain != domain:

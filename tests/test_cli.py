@@ -399,6 +399,19 @@ def test_non_square_matrix_file(capsys, tmp_path, schema):
     assert doc["error"]["name"] == "SchemaError"
 
 
+@pytest.mark.parametrize("domain", ["rational", "complex"])
+@pytest.mark.parametrize("command", ["relations", "corank", "irreducible", "classify"])
+def test_degree_zero_rep_file_is_schema_error(capsys, tmp_path, schema, command, domain):
+    empty = {"rows": 0, "cols": 0, "domain": domain, "entries": []}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"strands": 3, "degree": 0, "domain": domain,
+                                "label": "", "generators": [empty, empty]}))
+    code, doc, _ = run_cli(capsys, command, "--rep", str(path))
+    assert code == 2
+    check(schema, doc)
+    assert doc["error"]["name"] == "SchemaError"
+
+
 def test_numeric_flag_validation(capsys, schema):
     code, doc, _ = run_cli(capsys, "relations", "--family", "standard",
                            "--n", "3", "--tol", "0")

@@ -29,6 +29,7 @@ from braidrep.matrix import (
     Mat,
     eigen_numeric,
     _fraction_free,
+    mat_from_json,
     ops_for,
     rank_exact,
     rank_numeric,
@@ -286,6 +287,17 @@ def test_rep_json_rejects_booleans_as_sizes():
     for key in ("degree", "strands"):
         with pytest.raises(SchemaError):
             rep_from_json({**good, key: True})
+
+
+@pytest.mark.parametrize("domain", ["rational", "complex"])
+def test_degree_zero_is_refused(domain):
+    empty = {"rows": 0, "cols": 0, "domain": domain, "entries": []}
+    d = {"strands": 3, "degree": 0, "domain": domain, "label": "",
+         "generators": [empty, empty]}
+    with pytest.raises(SchemaError, match="degree at least 1"):
+        rep_from_json(d)
+    with pytest.raises(ValueError, match="degree at least 1"):
+        Rep(3, [mat_from_json(empty)] * 2)
 
 
 def test_rep_json_checks_relations():
