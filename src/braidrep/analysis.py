@@ -33,14 +33,17 @@ seeds and operators are rational matrices divided by their content, so
 coprime integer arrays, and its echelon basis holds primitive integer rows
 reduced by fraction-free (Bareiss) steps, never a Fraction.
 
-A complex spin screens each generation's products in blocks before any of
-them is inserted: one stacked matmul forms them, and each is normalised and
-projected twice off the current orthonormal basis.  A residual of at most a
-tenth of the basis tolerance can only shrink against the larger basis that
-insert would see, so such a product would be rejected and is skipped; every
-other product is formed again and inserted one at a time, in the unscreened
-order.  The basis, the generation counts and every decision are those of
-the one-at-a-time spin.
+A complex spin stacks its operators once, and screens each generation's
+products in blocks before any of them is inserted: one stacked matmul forms
+them, and each is normalised and projected twice off the current
+orthonormal basis.  A residual of at most a tenth of the basis tolerance
+can only shrink against the larger basis that insert would see, so such a
+product would be rejected and is skipped.  Only the other products are
+visited, found by np.flatnonzero; each is formed again and inserted one at
+a time, in the unscreened order.  The basis, the generation counts and
+every decision are those of the one-at-a-time spin.  Norton's complex test
+spins under the rep's generator stack and the transposes of its inverse
+stack.
 
 Norton's test certifies irreducibility, and so a full span by Burnside's
 theorem, or returns the invariant subspace a short spin found.  _norton
@@ -482,15 +485,17 @@ def _spin(seeds: list, ops: list, basis, limit: int,
     the number of generations; ClosureDiverged when more than
     max_generations would run.
 
-    An exact spin inserts every product.  A complex spin screens the
-    products of a generation in blocks first (_screened_generation): a
-    product whose residual off the basis is at most basis.tol / 10 is
-    skipped, since against the larger basis insert would measure it the
-    residual can only be smaller, and insert rejects at basis.tol.  Every
-    other product is inserted as before, in the same order, so the basis
-    gets the same columns and every decision and count stays the same.
+    An exact spin inserts every product.  A complex spin stacks ops once,
+    and screens the products of a generation in blocks first
+    (_screened_generation): a product whose residual off the basis is at
+    most basis.tol / 10 is skipped, since against the larger basis insert
+    would measure it the residual can only be smaller, and insert rejects
+    at basis.tol.  Every other product is inserted as before, in the same
+    order, so the basis gets the same columns and every decision and count
+    stays the same.
     """
-    grow = _screened_generation if isinstance(basis, _OrthoBasis) else _generation
+    # a complex spin's operators, stacked once for its screens
+    stacked = np.ascontiguousarray(ops) if isinstance(basis, _OrthoBasis) else None
     frontier = [x for x in map(_scaled, seeds) if basis.insert(x)]
     generations = 0
     while frontier and basis.dim < limit:
@@ -498,7 +503,10 @@ def _spin(seeds: list, ops: list, basis, limit: int,
         if max_generations is not None and generations > max_generations:
             raise ClosureDiverged(
                 "span closure still growing after %d generations" % max_generations)
-        frontier = grow(frontier, ops, basis, limit)
+        if stacked is None:
+            frontier = _generation(frontier, ops, basis, limit)
+        else:
+            frontier = _screened_generation(frontier, ops, stacked, basis, limit)
     return generations
 
 
@@ -523,27 +531,30 @@ def _generation(frontier: list, ops: list, basis, limit: int) -> list:
 _SCREEN_BYTES = 1 << 18
 
 
-def _screened_generation(frontier: list, ops: list, basis: _OrthoBasis,
-                         limit: int) -> list:
+def _screened_generation(frontier: list, ops, stacked: np.ndarray,
+                         basis: _OrthoBasis, limit: int) -> list:
     """One generation of a complex spin, as _generation would run it, with
     the products that cannot grow the basis screened out in blocks.
 
-    A block holds the products of as many frontier elements as fit in
-    _SCREEN_BYTES, or of one element and a range of ops, formed by one
-    stacked matmul, each normalised and projected twice off the basis
-    columns, as insert does.  A product whose residual r is at most
-    basis.tol / 10 is skipped.  insert would measure it against a basis
-    that contains this one, and the residual of a unit vector can only
-    shrink as the subspace grows, so there it would read at most r plus a
-    rounding error near 1e-15; insert rejects at basis.tol >= 1e-12, so it
-    would reject the product.  Every other product takes the unscreened
-    path, in the same order: g @ w is formed again on its own, scaled and
-    handed to insert, which decides.  After each accepted product, its
-    basis column is projected out of the residuals still pending, which
-    re-screens them.  Zero and non-finite products are never skipped.  So
-    the basis gets bit-for-bit the columns _generation would give it.
+    stacked is ops as one array, formed once per spin.  A block holds the
+    products of as many frontier elements as fit in _SCREEN_BYTES, or of
+    one element and a range of ops, formed by one stacked matmul, each
+    normalised and projected twice off the basis columns, as insert does.
+    A product whose residual r is at most basis.tol / 10 is skipped.
+    insert would measure it against a basis that contains this one, and
+    the residual of a unit vector can only shrink as the subspace grows, so
+    there it would read at most r plus a rounding error near 1e-15; insert
+    rejects at basis.tol >= 1e-12, so it would reject the product.  Only
+    the products not skipped are visited, found by np.flatnonzero, and
+    each takes the unscreened path, in the same order: g @ w is formed
+    again on its own, scaled and handed to insert, which decides.  After
+    each accepted product, its basis column is projected out of the
+    residuals still pending, which re-screens them.  Zero and non-finite
+    products are never skipped; a product whose norm overflows is scaled
+    before it is normalised.  The dimension limit is checked after each
+    frontier element, as _generation checks it.  So the basis gets bit for
+    bit the columns _generation would give it.
     """
-    stacked = np.stack(ops)
     m, size = len(ops), frontier[0].size
     rows = max(1, _SCREEN_BYTES // (16 * size))  # products per block
     step, span = max(1, rows // m), min(m, rows)  # frontier elements, ops
@@ -554,8 +565,14 @@ def _screened_generation(frontier: list, ops: list, basis: _OrthoBasis,
         w = np.stack([x.reshape(len(x), -1) for x in chunk])[:, None]
         for i0 in range(0, m, span):
             i1 = min(i0 + span, m)
+            width, last = i1 - i0, i1 == m
             p = np.matmul(stacked[i0:i1], w).reshape(-1, size)
-            norms = np.linalg.norm(p, axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = np.linalg.norm(p, axis=1)
+                big = np.isinf(norms)
+                if big.any():  # an entry's square overflowed: scale those rows
+                    p[big] /= np.abs(p[big]).max(axis=1)[:, None]
+                    norms[big] = np.linalg.norm(p[big], axis=1)
             finite = np.isfinite(norms) & (norms > 0)
             p[~finite] = 0
             p /= np.where(finite, norms, 1.0)[:, None]
@@ -566,21 +583,23 @@ def _screened_generation(frontier: list, ops: list, basis: _OrthoBasis,
                 np.conjugate(p, out=p)
                 p -= h.conj() @ q.T
             r = np.linalg.norm(p, axis=1)
-            j = -1
-            for x in chunk:
-                for g in ops[i0:i1]:
-                    j += 1
-                    if finite[j] and r[j] <= floor:
-                        continue
-                    y = _scaled(g @ x)
-                    if basis.insert(y):
-                        nxt.append(y)
-                        new = basis.q[:, basis.dim - 1]
-                        rest = p[j + 1:]
-                        rest -= np.outer(rest @ new.conj(), new)
-                        r[j + 1:] = np.linalg.norm(rest, axis=1)
-                if i1 == m and basis.dim >= limit:
-                    return nxt
+            todo, t, k = np.flatnonzero(~(finite & (r <= floor))), 0, 0
+            while t < todo.size:
+                j = int(todo[t])
+                t += 1
+                if last and j // width > k and basis.dim >= limit:
+                    return nxt  # the limit, checked after frontier element k
+                k, i = divmod(j, width)
+                y = _scaled(ops[i0 + i] @ chunk[k])
+                if basis.insert(y):
+                    nxt.append(y)
+                    new = basis.q[:, basis.dim - 1]
+                    rest = p[j + 1:]
+                    rest -= np.outer(rest @ new.conj(), new)
+                    r[j + 1:] = np.linalg.norm(rest, axis=1)
+                    todo, t = j + 1 + np.flatnonzero(~(finite[j + 1:] & (r[j + 1:] <= floor))), 0
+            if last and basis.dim >= limit:
+                return nxt
     return nxt
 
 
@@ -726,10 +745,10 @@ def _complex_norton(rho: Rep, tol: float, cluster_tol: float
     n = rho.degree
     try:
         clusters = eigen_numeric(rho.gen(1), cluster_tol)
-        duals = [rho.gen_inverse(i).as_numpy().T for i in range(1, rho.strands)]
+        duals = np.swapaxes(rho.inverse_stack(), 1, 2)
     except (ClusterAmbiguous, NotInvertible):
         return None, None
-    gens = [g.as_numpy() for g in rho.gens]
+    gens = rho.stack
     for lam, mult in clusters:
         if mult != 1:
             continue

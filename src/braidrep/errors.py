@@ -119,6 +119,15 @@ class RelationFailure(BraidRepError):
     name = "RelationFailure"
 
 
+class NumericOverflow(BraidRepError):
+    """Finite complex generators whose products overflow the float range in
+    every adjacent braid relation, so that the relations cannot be checked.
+    It is not a relation failure: the relations may hold, as they do for
+    the standard family at u = 1e200, where u^2 is beyond the range."""
+
+    name = "NumericOverflow"
+
+
 class SchemaError(BraidRepError):
     """Malformed JSON input: wrong shape, unknown domain, or bad entry."""
 

@@ -5,7 +5,8 @@ Domains and how a Mat stores its entries:
   LAURENT   exact Laurent polynomials in t over the rationals, a row-major
             tuple of LaurentPoly
   COMPLEX   double-precision complex floats, one read-only row-major
-            complex128 ndarray of the matrix's shape
+            complex128 ndarray of the matrix's shape, which may be a view
+            of a representation's stack of generators
 
 An exact Mat also carries a nonzero index: per row, the ascending column
 indices of its nonzero entries.  It is built once, on first use, from the
@@ -20,7 +21,8 @@ Mat(...) coerces and checks every entry, and is the constructor for any
 outside input.  Mat._trusted skips both, and may only be given entries that
 are already the domain's scalar type (Fraction or LaurentPoly) because a
 domain operation or a ring constant produced them, and a nonzero index that
-is exactly the one those entries give.
+is exactly the one those entries give; or, for COMPLEX, a read-only complex
+array of the Mat's shape, which it shares.
 
 Exact-domain eliminations are fraction-free (Bareiss for echelon form and
 determinants, Montante's Gauss-Jordan variant for inverses and nullspaces),
@@ -222,13 +224,15 @@ class Mat:
     @classmethod
     def _trusted(cls, rows: int, cols: int, domain: Domain, entries: Sequence,
                  nz: tuple | None = None) -> "Mat":
-        """Exact Mat over entries a domain operation produced, without
-        coercion or checks; nz, when given, is their nonzero index."""
+        """Mat over entries a domain operation produced, without coercion or
+        checks: an exact Mat's entries with nz, when given, their nonzero
+        index, or for COMPLEX a read-only (rows, cols) complex array, which
+        the Mat shares, such as one generator of a stack."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
         m.domain = domain
-        m.entries = tuple(entries)
+        m.entries = entries if domain is Domain.COMPLEX else tuple(entries)
         m._nz = nz
         return m
 
@@ -362,12 +366,7 @@ class Mat:
         o = _OPS[self.domain]
         s = o.coerce(s)
         if self.domain is Domain.COMPLEX:
-            # Python's complex * rounds these four real products; numpy's
-            # complex multiply can differ from it in the last bit
-            a = self.entries
-            out = (s.real * a.real - s.imag * a.imag).astype(complex)
-            out.imag = s.real * a.imag + s.imag * a.real
-            return Mat.from_numpy(out)
+            return Mat.from_numpy(_scale_complex(self.entries, s))
         out = [o.zero] * (self.rows * self.cols)
         e, c = self.entries, self.cols
         for i, cols in enumerate(self._nonzeros()):
@@ -564,9 +563,7 @@ class Mat:
     def max_norm(self) -> float:
         """Largest entry magnitude (max-norm); the residual scale used everywhere."""
         if self.domain is Domain.COMPLEX:
-            # hypot rounds as Python's abs(complex) does; np.abs can differ
-            a = self.entries
-            return float(np.max(np.hypot(a.real, a.imag), initial=0.0))
+            return float(_max_norms(self.entries))
         mag, e, c = _OPS[self.domain].mag, self.entries, self.cols
         return max((mag(e[i * c + j]) for i, cols in enumerate(self._nonzeros()) for j in cols),
                    default=0.0)
@@ -645,15 +642,7 @@ class Mat:
         if not self.is_square:
             raise NotInvertible("non-square matrix")
         if self.domain is Domain.COMPLEX:
-            a = self.as_numpy()
-            try:
-                inv = np.linalg.inv(a)
-            except np.linalg.LinAlgError as exc:
-                raise NotInvertible(str(exc)) from exc
-            resid = float(np.max(np.abs(a @ inv - np.eye(self.rows)))) if self.rows else 0.0
-            if not resid <= tol:  # a NaN residual, from an overflowing inverse, fails too
-                raise NotInvertible("inverse residual %.3g exceeds tolerance %.3g" % (resid, tol))
-            return Mat.from_numpy(inv)
+            return Mat.from_numpy(_inverse_stack(self.entries[None], tol)[0])
         return _exact_inverse(self)
 
     def to_json_dict(self) -> dict:
@@ -663,6 +652,43 @@ class Mat:
             "domain": self.domain.value,
             "entries": [entry_to_json(x, self.domain) for x in self._flat()],
         }
+
+
+def _scale_complex(a: np.ndarray, s: complex) -> np.ndarray:
+    """s * a for a complex array of any shape, entry by entry as Python's
+    complex * rounds it: four real products, where numpy's complex multiply
+    can differ in the last bit."""
+    out = (s.real * a.real - s.imag * a.imag).astype(complex)
+    out.imag = s.real * a.imag + s.imag * a.real
+    return out
+
+
+def _inverse_stack(a: np.ndarray, tol: float, where: str = "") -> np.ndarray:
+    """The inverses of a stack of square complex arrays, in one batched call.
+
+    Each inverse is checked by its residual max|A A^-1 - I|, which must be at
+    most tol; a NaN residual, from an overflowing inverse, fails too.  The
+    first array that is singular or fails its check, in stack order, raises
+    NotInvertible, its message prefixed by where.format(k + 1) for its
+    index k.  Inverses and residuals are bit for bit those of one call per
+    array, which is what Mat.inverse makes on a stack of one."""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        if len(a) == 1:
+            raise NotInvertible(where.format(1) + str(exc)) from exc
+        # some array is singular: check each in turn for the first failure
+        for k in range(len(a)):
+            _inverse_stack(a[k:k + 1], tol, where.format(k + 1))
+        raise
+    if a.shape[1]:
+        resid = np.abs(a @ inv - np.eye(a.shape[1])).max(axis=(1, 2))
+        bad = np.flatnonzero(~(resid <= tol))
+        if bad.size:
+            k = bad[0]
+            raise NotInvertible(where.format(k + 1) + "inverse residual %.3g exceeds"
+                                " tolerance %.3g" % (resid[k], tol))
+    return inv
 
 
 def is_json_int(x) -> bool:
@@ -925,6 +951,26 @@ def relative_residual(a: Mat, b: Mat) -> float:
         return 0.0
     diff = (a - b).max_norm()
     return diff / max(a.max_norm(), b.max_norm(), 1e-300)
+
+
+def _max_norms(a: np.ndarray) -> np.ndarray:
+    """The max-norm of each matrix of a complex stack, or of one matrix.
+    hypot rounds as Python's abs(complex) does; np.abs can differ."""
+    return np.hypot(a.real, a.imag).max(axis=(-2, -1), initial=0.0)
+
+
+def _python_max(v: np.ndarray) -> float:
+    """max(v) as Python's max() takes it over floats: a NaN counts only when
+    it comes first."""
+    return float(v[0] if np.isnan(v[0]) else np.fmax.reduce(v))
+
+
+def _relative_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relative_residual of each pair of matrices of two complex stacks, bit
+    for bit.  A NaN norm of a or b makes that of a - b NaN too, so the
+    residual is NaN whichever order max() would have met it in."""
+    scale = np.maximum(np.maximum(_max_norms(a), _max_norms(b)), 1e-300)
+    return _max_norms(a - b) / scale
 
 
 def column_space(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:

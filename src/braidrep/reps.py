@@ -22,10 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .braid import BraidWord
 from .errors import (
     IndexOutOfRange,
     NotInvertible,
+    NumericOverflow,
     RelationFailure,
     SchemaError,
     ZeroScalar,
@@ -36,6 +39,9 @@ from .matrix import (
     DEFAULT_TOL,
     Domain,
     Mat,
+    _inverse_stack,
+    _relative_residuals,
+    _scale_complex,
     is_json_int,
     mat_from_json,
     ops_for,
@@ -105,12 +111,22 @@ class RelationReport:
 
 
 class Rep:
-    """An assignment of one invertible matrix per braid generator."""
+    """An assignment of one invertible matrix per braid generator.
+
+    A COMPLEX rep holds its generators as one read-only (strands - 1, n, n)
+    array, stack, and its Mats are views of it; gens may also be given as
+    such an array, which the rep then takes over.  Its inverses are taken
+    and checked in one batched call, at construction when check is set,
+    else on first use, and are kept as one stack too (inverse_stack)."""
 
     def __init__(self, strands: int, gens, label: str = "", *,
                  check: bool = True, tol: float = DEFAULT_TOL):
         if strands < 2:
             raise ValueError("a representation needs at least 2 strands")
+        stack = None
+        if isinstance(gens, np.ndarray):
+            stack = np.asarray(gens, dtype=complex)
+            gens = [Mat._trusted(a.shape[0], a.shape[1], Domain.COMPLEX, a) for a in stack]
         gens = tuple(gens)
         if len(gens) != strands - 1:
             raise ValueError(
@@ -123,19 +139,29 @@ class Rep:
         for g in gens:
             if not g.is_square or g.rows != degree or g.domain != domain:
                 raise ValueError("generator images must be square, one size, one domain")
+        if domain is Domain.COMPLEX:
+            if stack is None:
+                stack = np.stack([g.entries for g in gens])
+            stack.flags.writeable = False
+            gens = tuple(Mat._trusted(degree, degree, domain, a) for a in stack)
         self.strands = strands
         self.degree = degree
         self.domain = domain
         self.gens = gens
+        self.stack = stack
         self.label = label
         self._inv_cache: dict[int, Mat] = {}
+        self._inv_stack: np.ndarray | None = None
         self._relations: RelationReport | None = None
         if check:
-            for k, g in enumerate(gens):
-                try:
-                    self._inv_cache[k] = g.inverse(tol)
-                except NotInvertible as exc:
-                    raise NotInvertible("generator s%d: %s" % (k + 1, exc)) from exc
+            if domain is Domain.COMPLEX:
+                self._keep_inverses(_inverse_stack(stack, tol, "generator s{}: "))
+            else:
+                for k, g in enumerate(gens):
+                    try:
+                        self._inv_cache[k] = g.inverse(tol)
+                    except NotInvertible as exc:
+                        raise NotInvertible("generator s%d: %s" % (k + 1, exc)) from exc
             report = check_braid_relations(self, tol)
             if not report.ok:
                 raise RelationFailure(
@@ -153,12 +179,30 @@ class Rep:
         if not 1 <= i <= self.strands - 1:
             raise IndexOutOfRange("generator index %d outside 1..%d" % (i, self.strands - 1))
         k = i - 1
-        if k not in self._inv_cache:
+        if self.domain is Domain.COMPLEX:
+            self.inverse_stack()
+        elif k not in self._inv_cache:
             try:
                 self._inv_cache[k] = self.gens[k].inverse()
             except NotInvertible as exc:
                 raise NotInvertible("generator s%d: %s" % (i, exc)) from exc
         return self._inv_cache[k]
+
+    def inverse_stack(self) -> np.ndarray:
+        """A COMPLEX rep's generator inverses as one read-only array: those
+        checked at construction, else all taken and checked at the default
+        tolerance on first use."""
+        if self.domain is not Domain.COMPLEX:
+            raise ValueError("inverse_stack applies to COMPLEX representations")
+        if self._inv_stack is None:
+            self._keep_inverses(_inverse_stack(self.stack, DEFAULT_TOL, "generator s{}: "))
+        return self._inv_stack
+
+    def _keep_inverses(self, inv: np.ndarray) -> None:
+        inv.flags.writeable = False
+        self._inv_stack = inv
+        self._inv_cache = {k: Mat._trusted(self.degree, self.degree, Domain.COMPLEX, a)
+                           for k, a in enumerate(inv)}
 
     def to_complex(self) -> "Rep":
         if self.domain is Domain.COMPLEX:
@@ -313,6 +357,8 @@ def character_twist(rho: Rep, y) -> Rep:
     if rho.domain is Domain.LAURENT and not y.is_unit:
         raise NotInvertible("twist scalar must be a unit of the Laurent ring: %s" % y)
     label = "chi(%s)*%s" % (_fmt_scalar(y), rho.label or "rep")
+    if rho.domain is Domain.COMPLEX:
+        return Rep(rho.strands, _scale_complex(rho.stack, y), label, check=False)
     return Rep(rho.strands, [g.scale(y) for g in rho.gens], label, check=False)
 
 
@@ -331,16 +377,40 @@ def specialize(rho: Rep, u) -> Rep:
     exact = isinstance(u, (int, Fraction))
     u = Fraction(u) if exact else complex(u)
     gens = [g.eval_at(u) for g in rho.gens]
-    for k, g in enumerate(gens):
-        if exact:
+    if exact:
+        for k, g in enumerate(gens):
             if g.det() == 0:
                 raise NotInvertible("generator s%d is singular at t=%s" % (k + 1, u))
-        else:
-            g.inverse()  # raises NotInvertible on failure
-    label = "%s@t=%s" % (rho.label or "rep", _fmt_scalar(u))
-    if u == 1:
-        label += " [u=1 permutation point]"
-    return Rep(rho.strands, gens, label, check=False)
+    out = Rep(rho.strands, gens, _specialized_label(rho.label, u), check=False)
+    if not exact:
+        out._keep_inverses(_inverse_stack(out.stack, DEFAULT_TOL))
+    return out
+
+
+def _specialized_label(label: str, u) -> str:
+    label = "%s@t=%s" % (label or "rep", _fmt_scalar(u))
+    return label + " [u=1 permutation point]" if u == 1 else label
+
+
+def _twisted_standard(n: int, u: complex, y: complex) -> Rep:
+    """character_twist(specialize(standard_rep(n), u), y) for complex u and
+    y, bit for bit, written straight into one stack with O(n) writes per
+    generator.  The entries are the family's 0, 1 and t evaluated at u as
+    specialize evaluates them; specialize's invertibility check runs on the
+    untwisted stack, and the twist rounds as Mat.scale does."""
+    if u == 0:
+        raise ZeroSubstitution("t=0 is outside the invertible locus")
+    u, y = complex(u), complex(y)
+    if y == 0:
+        raise ZeroScalar("twist by zero leaves the general linear group")
+    zero, one, t = (p.eval(u) for p in (LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.t()))
+    k, d = np.arange(n - 1), np.arange(n)
+    stack = np.full((n - 1, n, n), zero)
+    stack[:, d, d] = one
+    stack[k, k, k], stack[k, k, k + 1], stack[k, k + 1, k], stack[k, k + 1, k + 1] = zero, t, one, zero
+    _inverse_stack(stack, DEFAULT_TOL)
+    label = "chi(%s)*%s" % (_fmt_scalar(y), _specialized_label("standard(%d)" % n, u))
+    return Rep(n, _scale_complex(stack, y), label, check=False)
 
 
 def eval_word(rho: Rep, w: BraidWord) -> Mat:
@@ -375,13 +445,20 @@ def check_braid_relations(rho: Rep, tol: float = DEFAULT_TOL) -> RelationReport:
         the U blocks; a match has residual 0.0.
     Every other relation, failing ones included, is multiplied out in full,
     so its residual is the dense one.
+
+    A COMPLEX rep is checked on its stack (_stacked_relations): all
+    relations at once, in blocks of stacked products, each residual bit for
+    bit relative_residual's.  When the products of every adjacent relation
+    overflow from finite generators, NumericOverflow is raised rather than
+    a report of NaN residuals.
     """
     if rho._relations is not None and rho._relations.tol == tol:
         return rho._relations
+    if rho.domain is Domain.COMPLEX:
+        return RelationReport(rho.domain, tol, _stacked_relations(rho.stack))
     gens = rho.gens
     m = rho.strands
-    splits = ([g._split() for g in gens] if rho.domain is not Domain.COMPLEX
-              else [None] * len(gens))
+    splits = [g._split() for g in gens]
 
     def holds_on_block(i: int, j: int, adjacent: bool) -> bool:
         si, sj = splits[i], splits[j]
@@ -409,3 +486,46 @@ def check_braid_relations(rho: Rep, tol: float = DEFAULT_TOL) -> RelationReport:
                 residual = relative_residual(gens[i] @ gens[j], gens[j] @ gens[i])
             entries.append(RelationEntry("far", i + 1, j + 1, residual))
     return RelationReport(rho.domain, tol, tuple(entries))
+
+
+# Upper bound on the bytes of one block of stacked relation products: every
+# relation of a complex rep at n = 12 fits in one block.
+_RELATION_BYTES = 1 << 18
+
+
+def _stacked_relations(stack: np.ndarray) -> tuple[RelationEntry, ...]:
+    """The relations of check_braid_relations on a complex stack, in its
+    order: the adjacent pairs, then the far pairs row by row.  A block of
+    pairs (a, b) takes a @ b and b @ a in two stacked matmuls, and the
+    adjacent pairs among them (a @ b) @ a and (b @ a) @ b in two more, so
+    every product is the one the Mat product forms.  Products are formed
+    under np.errstate, so overflows do not warn.  When every adjacent
+    relation overflows from finite generators, the scale of the generators
+    is beyond the float range (u^2 at u = 1e200), and NumericOverflow is
+    raised.  An overflow confined to some relations, as from cancelling
+    terms in an ill-conditioned basis, stays a NaN residual, which fails
+    the check."""
+    m = len(stack)
+    adjacent = m - 1
+    far_i, far_j = np.triu_indices(m, 2)
+    left = np.concatenate([np.arange(adjacent), far_i])
+    right = np.concatenate([np.arange(1, m), far_j])
+    step = max(1, _RELATION_BYTES // (16 * stack[0].size))
+    residuals, overflow = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, len(left), step):
+            a, b = stack[left[k:k + step]], stack[right[k:k + step]]
+            lhs, rhs = a @ b, b @ a
+            t = max(0, adjacent - k)  # the adjacent pairs of this block
+            lhs[:t], rhs[:t] = lhs[:t] @ a[:t], rhs[:t] @ b[:t]
+            residuals.append(_relative_residuals(lhs, rhs))
+            overflow.append(~(np.isfinite(lhs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))))
+    if adjacent and np.concatenate(overflow)[:adjacent].all() and np.isfinite(stack).all():
+        raise NumericOverflow(
+            "products of the generators overflow in every adjacent braid relation,"
+            " largest entry %.3g; the relations cannot be checked in floating point"
+            % np.abs(stack).max())
+    residuals = np.concatenate(residuals).tolist() if left.size else []
+    return tuple(RelationEntry("adjacent" if k < adjacent else "far", i + 1, j + 1, r)
+                 for k, (i, j, r) in enumerate(zip(left.tolist(), right.tolist(), residuals)))
+

@@ -936,6 +936,34 @@ def test_screened_spin_matches_loop_spin(monkeypatch, case):
                 assert np.array_equal(got[2], ref[2]), (tol, block)
 
 
+def test_screened_spin_at_a_tiny_twist(monkeypatch):
+    # the dual spin's operators have entries near 1/y = 1e170, so the squared
+    # norms of their products overflow: those products are scaled before the
+    # screen normalises them, and the screen still skips products there
+    import warnings
+
+    rho = character_twist(specialize(standard_rep(9), 2 + 0j), 1e-170)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        calls = _complex_spins(monkeypatch, lambda: analysis._norton(rho, 1e-9))
+        assert len(calls) == 2
+        inserts, insert = [], analysis._OrthoBasis.insert
+
+        def counted(basis, v):
+            inserts[-1] += 1
+            return insert(basis, v)
+
+        monkeypatch.setattr(analysis._OrthoBasis, "insert", counted)
+        for call in calls:
+            outcomes = []
+            for spin in (_loop_spin, analysis._spin):
+                inserts.append(0)
+                outcomes.append(_spin_outcome(spin, call))
+            (ref, got) = outcomes
+            assert got[:2] == ref[:2] and np.array_equal(got[2], ref[2])
+        assert inserts[3] < inserts[2]  # the dual spin: loop, then screened
+
+
 # ---------------------------------------------------------------------------
 # common eigenvectors
 # ---------------------------------------------------------------------------

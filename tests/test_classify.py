@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -21,7 +22,14 @@ from braidrep.errors import (
     NotIrreducible,
 )
 from braidrep.analysis import burnside_dimension
-from braidrep.matrix import Domain, Mat, eigen_numeric, intertwiner_space
+from braidrep.matrix import (
+    Domain,
+    Mat,
+    _python_max,
+    eigen_numeric,
+    intertwiner_space,
+    relative_residual,
+)
 from braidrep.reps import (
     Rep,
     character_rep,
@@ -192,6 +200,25 @@ def test_graph_spin_declines_reducible_pair():
     cert = certify_equivalence(a, a)
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.intertwiner_dim == 2
+
+
+@pytest.mark.parametrize("n", [5, 9, 12])
+def test_verified_residual_is_the_largest_generator_residual(n):
+    # the batched residual against one relative_residual per generator
+    a = hidden_model(n, 0.6 + 1.1j, -1.8 + 0.3j, n)
+    b = character_twist(specialize(standard_rep(n), -1.8 + 0.3j), 0.6 + 1.1j)
+    cert = certify_equivalence(a, b)
+    x = cert.intertwiner
+    assert cert.verdict == "EQUIVALENT"
+    ref = max(relative_residual(a.gen(i) @ x, x @ b.gen(i)) for i in range(1, n))
+    assert cert.residual == ref and type(cert.residual) is float
+
+
+def test_python_max_keeps_a_nan_only_when_it_comes_first():
+    nan = float("nan")
+    for v in ([1.0, nan, 2.0], [nan, 3.0], [2.0, 1.0], [nan], [0.5, nan]):
+        got, ref = _python_max(np.array(v)), max(v)
+        assert got == ref or (math.isnan(got) and math.isnan(ref))
 
 
 def test_certify_degree_mismatch():

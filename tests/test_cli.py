@@ -509,6 +509,51 @@ def test_nan_relation_residual_fails_the_check(capsys, schema, tmp_path):
     assert doc["error"]["name"] == "RelationFailure"
 
 
+@pytest.mark.parametrize("command", ["relations", "classify"])
+@pytest.mark.parametrize("argv", [
+    ["--family", "standard", "--n", "5", "--u=1e200+0j"],
+    ["--family", "burau", "--n", "9", "--u=1e200+0j"],
+    ["--family", "standard", "--n", "9", "--u=2+0j", "--y=1e150+0j"],
+], ids=["standard-5", "burau-9", "twist-1e150"])
+def test_overflowing_relations_are_numeric_overflow(capsys, schema, command, argv):
+    # u^2 (y^3 for the twist) is beyond the float range, while the relations
+    # hold: once "ok": false with null residuals, and RelationFailure
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc, out = run_cli(capsys, command, *argv)
+    assert code == 1 and out.count('"schema"') == 1
+    check(schema, doc)
+    assert doc["error"]["name"] == "NumericOverflow"
+    assert "relations" not in doc and "classification" not in doc
+
+
+def test_overflowing_rep_file_is_numeric_overflow(capsys, schema, tmp_path):
+    from braidrep import specialize, standard_rep
+
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(specialize(standard_rep(5), 1e200 + 0j).to_json_dict()))
+    code, doc, _ = run_cli(capsys, "relations", "--rep", str(path))
+    assert code == 1
+    check(schema, doc)
+    assert doc["error"]["name"] == "NumericOverflow"
+
+
+def test_classify_at_a_tiny_twist_warns_nothing(capsys, schema):
+    # the dual spin's products have entries near 1/y = 1e170: their squared
+    # norms overflowed in the screen, which numpy printed on stderr
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc, _ = run_cli(capsys, "classify", "--family", "standard", "--n", "9",
+                               "--u", "2+0j", "--y", "1e-170+0j")
+    assert code == 0
+    check(schema, doc)
+    assert doc["classification"]["certificate"]["verdict"] == "EQUIVALENT"
+
+
 def test_memory_error_is_reported_in_the_envelope(capsys, schema, monkeypatch):
     from braidrep import cli
 

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidrep import analysis
+from braidrep import reps as reps_mod
 from braidrep.braid import BraidWord, theta_word
 from braidrep.errors import (
     ClusterAmbiguous,
     GenericDisagreement,
     IndexOutOfRange,
     NotInvertible,
+    NumericOverflow,
     RelationFailure,
     SchemaError,
     ZeroScalar,
@@ -37,6 +39,7 @@ from braidrep.matrix import (
 )
 from braidrep.reps import (
     Rep,
+    _twisted_standard,
     burau_rep,
     character_rep,
     character_twist,
@@ -46,6 +49,7 @@ from braidrep.reps import (
     specialize,
     standard_rep,
 )
+from test_classify import hidden_model
 from test_matrix import dense_product
 
 T = LaurentPoly.t()
@@ -239,6 +243,117 @@ def test_nan_relation_residual_is_not_ok():
         assert report.to_json_dict()["ok"] is False
         with pytest.raises(RelationFailure):
             Rep(5, gens)
+
+
+def _pairwise_residuals(rho: Rep) -> list[float]:
+    """Each relation as one relative_residual of Mat products, in
+    check_braid_relations order: the per-pair reference."""
+    g, m = rho.gens, rho.strands - 1
+    out = [relative_residual(g[i] @ g[i + 1] @ g[i], g[i + 1] @ g[i] @ g[i + 1])
+           for i in range(m - 1)]
+    return out + [relative_residual(g[i] @ g[j], g[j] @ g[i])
+                  for i in range(m) for j in range(i + 2, m)]
+
+
+def _perturbed(rho: Rep, k: int) -> Rep:
+    a = np.array(rho.stack)
+    a[k, 0, 1] += 1e-3
+    return Rep(rho.strands, a, check=False)
+
+
+def _stacked_cases():
+    cases = [hidden_model(n, 1.3 - 0.4j, 2.5 + 0.5j, n) for n in range(3, 13)]
+    cases.append(_perturbed(hidden_model(9, 0.8j, -1.5, 3), 4))
+    cases.append(Rep(5, nan_residual_gens(), check=False))
+    return cases
+
+
+@pytest.mark.parametrize("rho", _stacked_cases(), ids=lambda r: "n%d" % r.degree)
+def test_stacked_relation_residuals_match_per_pair(rho, monkeypatch):
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _pairwise_residuals(rho)
+        for block in (reps_mod._RELATION_BYTES, 1):  # one byte: a pair per block
+            monkeypatch.setattr(reps_mod, "_RELATION_BYTES", block)
+            report = check_braid_relations(rho)
+            got = [e.residual for e in report.entries]
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+            assert [(e.kind, e.i, e.j) for e in report.entries] == [
+                (e["kind"], e["i"], e["j"]) for e in _dense_relations(rho, 1e-9)["relations"]]
+
+
+def test_relations_that_all_overflow_raise_numeric_overflow():
+    for rho in (specialize(standard_rep(3), 1e200 + 0j), specialize(standard_rep(5), 1e200 + 0j),
+                specialize(burau_rep(9), -1e160 + 0j),
+                character_twist(specialize(standard_rep(9), 2 + 0j), 1e150)):
+        with pytest.raises(NumericOverflow):
+            check_braid_relations(rho)
+        with pytest.raises(NumericOverflow):
+            Rep(rho.strands, rho.gens)
+    # below the range, and an overflow in one relation only, give reports
+    assert check_braid_relations(specialize(standard_rep(5), 1e150 + 0j)).ok
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not check_braid_relations(Rep(5, nan_residual_gens(), check=False)).ok
+
+
+def _loop_inverse(g: np.ndarray, tol: float) -> np.ndarray:
+    """Mat.inverse of one complex matrix as a call of its own."""
+    inv = np.linalg.inv(g)
+    resid = float(np.max(np.abs(g @ inv - np.eye(len(g)))))
+    if not resid <= tol:
+        raise NotInvertible("inverse residual %.3g exceeds tolerance %.3g" % (resid, tol))
+    return inv
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 12])
+def test_batched_inverses_match_mat_inverse(n):
+    rho = hidden_model(n, 0.9 + 0.3j, -1.7 + 0.2j, n)
+    checked = Rep(n, rho.gens, tol=1e-9)
+    for r in (rho, checked):
+        for i in range(1, n):
+            ref = _loop_inverse(rho.gen(i).as_numpy(), 1e-9)
+            assert r.gen_inverse(i).as_numpy().tobytes() == ref.tobytes()
+            assert r.gen_inverse(i).entries.base is r.inverse_stack()
+        assert r.gen(1).entries.base is r.stack and not r.stack.flags.writeable
+
+
+def test_batched_inverse_names_the_failing_generator():
+    gens = [g.to_complex() for g in specialize(standard_rep(5), 3).gens]
+    singular = Mat.from_numpy(np.diag([1.0, 1.0, 0.0, 1.0, 1.0]))
+    with pytest.raises(NotInvertible, match="^generator s3: Singular matrix$"):
+        Rep(5, gens[:2] + [singular] + gens[3:])
+    # s2 fails its residual check, alone or before the singular s4
+    tiny = Mat.from_numpy(np.diag([1e-320 + 0j, 1, 1, 1, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotInvertible, match="^generator s2: inverse residual nan"):
+            Rep(5, [gens[0], tiny] + gens[2:])
+        with pytest.raises(NotInvertible, match="^generator s2: inverse residual nan"):
+            Rep(5, [gens[0], tiny, gens[2], singular])
+        with pytest.raises(NotInvertible, match="^generator s2: inverse residual nan"):
+            Rep(5, [gens[0], tiny, gens[2], singular], check=False).gen_inverse(1)
+        with pytest.raises(NotInvertible, match="^inverse residual nan"):
+            specialize(burau_rep(4), 1e-320 + 0j)
+
+
+@pytest.mark.parametrize("n", [5, 9, 12])
+@pytest.mark.parametrize("u, y", [(2.5 + 0.5j, 0.7 - 1.2j), (-1.5 + 0j, 1j), (2 + 0j, 1e-170 + 0j),
+                                  (1e-13 + 0j, 1.3 + 0.4j), (1e30 + 0j, -0.5 + 2j),
+                                  (1 + 0j, -1 + 0j), (-0.0 - 2j, -0.0 - 1j)])
+def test_twisted_standard_matches_the_laurent_path(n, u, y):
+    ref = character_twist(specialize(standard_rep(n), u), y)
+    got = _twisted_standard(n, u, y)
+    assert got.stack.tobytes() == ref.stack.tobytes()
+    assert got.label == ref.label and got == ref
+
+
+def test_twisted_standard_keeps_the_specialize_checks():
+    for u, y, error in ((0j, 1j, ZeroSubstitution), (2j, 0j, ZeroScalar)):
+        with pytest.raises(error):
+            _twisted_standard(5, u, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotInvertible) as ref:
+            specialize(standard_rep(5), 1e-320 + 0j)
+        with pytest.raises(NotInvertible, match="^%s$" % str(ref.value)):
+            _twisted_standard(5, 1e-320 + 0j, 2 + 0j)
 
 
 def test_noninvertible_generator_rejected():
