@@ -664,7 +664,8 @@ def _scale_complex(a: np.ndarray, s: complex) -> np.ndarray:
 
 
 def _inverse_stack(a: np.ndarray, tol: float, where: str = "") -> np.ndarray:
-    """The inverses of a stack of square complex arrays, in one batched call.
+    """The inverses of a stack of square complex arrays, in one batched call,
+    as a read-only array.
 
     Each inverse is checked by its residual max|A A^-1 - I|, which must be at
     most tol; a NaN residual, from an overflowing inverse, fails too.  The
@@ -688,6 +689,7 @@ def _inverse_stack(a: np.ndarray, tol: float, where: str = "") -> np.ndarray:
             k = bad[0]
             raise NotInvertible(where.format(k + 1) + "inverse residual %.3g exceeds"
                                 " tolerance %.3g" % (resid[k], tol))
+    inv.flags.writeable = False
     return inv
 
 

@@ -155,7 +155,7 @@ class Rep:
         self._relations: RelationReport | None = None
         if check:
             if domain is Domain.COMPLEX:
-                self._keep_inverses(_inverse_stack(stack, tol, "generator s{}: "))
+                self._inv_stack = _inverse_stack(stack, tol, "generator s{}: ")
             else:
                 for k, g in enumerate(gens):
                     try:
@@ -180,8 +180,8 @@ class Rep:
             raise IndexOutOfRange("generator index %d outside 1..%d" % (i, self.strands - 1))
         k = i - 1
         if self.domain is Domain.COMPLEX:
-            self.inverse_stack()
-        elif k not in self._inv_cache:
+            return Mat._trusted(self.degree, self.degree, Domain.COMPLEX, self.inverse_stack()[k])
+        if k not in self._inv_cache:
             try:
                 self._inv_cache[k] = self.gens[k].inverse()
             except NotInvertible as exc:
@@ -195,14 +195,8 @@ class Rep:
         if self.domain is not Domain.COMPLEX:
             raise ValueError("inverse_stack applies to COMPLEX representations")
         if self._inv_stack is None:
-            self._keep_inverses(_inverse_stack(self.stack, DEFAULT_TOL, "generator s{}: "))
+            self._inv_stack = _inverse_stack(self.stack, DEFAULT_TOL, "generator s{}: ")
         return self._inv_stack
-
-    def _keep_inverses(self, inv: np.ndarray) -> None:
-        inv.flags.writeable = False
-        self._inv_stack = inv
-        self._inv_cache = {k: Mat._trusted(self.degree, self.degree, Domain.COMPLEX, a)
-                           for k, a in enumerate(inv)}
 
     def to_complex(self) -> "Rep":
         if self.domain is Domain.COMPLEX:
@@ -383,7 +377,7 @@ def specialize(rho: Rep, u) -> Rep:
                 raise NotInvertible("generator s%d is singular at t=%s" % (k + 1, u))
     out = Rep(rho.strands, gens, _specialized_label(rho.label, u), check=False)
     if not exact:
-        out._keep_inverses(_inverse_stack(out.stack, DEFAULT_TOL))
+        out._inv_stack = _inverse_stack(out.stack, DEFAULT_TOL)
     return out
 
 
