@@ -388,10 +388,11 @@ def _specialized_label(label: str, u) -> str:
 
 def _twisted_standard(n: int, u: complex, y: complex) -> Rep:
     """character_twist(specialize(standard_rep(n), u), y) for complex u and
-    y, bit for bit, written straight into one stack with O(n) writes per
+    y, bit for bit, written into one zero stack with O(n) writes per
     generator.  The entries are the family's 0, 1 and t evaluated at u as
     specialize evaluates them; specialize's invertibility check runs on the
-    untwisted stack, and the twist rounds as Mat.scale does."""
+    untwisted stack, and the twist, one pass over the stack, rounds as
+    Mat.scale does."""
     if u == 0:
         raise ZeroSubstitution("t=0 is outside the invertible locus")
     u, y = complex(u), complex(y)
@@ -399,7 +400,7 @@ def _twisted_standard(n: int, u: complex, y: complex) -> Rep:
         raise ZeroScalar("twist by zero leaves the general linear group")
     zero, one, t = (p.eval(u) for p in (LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.t()))
     k, d = np.arange(n - 1), np.arange(n)
-    stack = np.full((n - 1, n, n), zero)
+    stack = np.zeros((n - 1, n, n), dtype=complex)  # zero is 0j: eval's complex(0)
     stack[:, d, d] = one
     stack[k, k, k], stack[k, k, k + 1], stack[k, k + 1, k], stack[k, k + 1, k + 1] = zero, t, one, zero
     _inverse_stack(stack, DEFAULT_TOL)
