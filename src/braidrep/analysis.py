@@ -550,8 +550,8 @@ def _screened_generation(frontier: list, ops, stacked: np.ndarray,
     again on its own, scaled and handed to insert, which decides.  After
     each accepted product, its basis column is projected out of the
     residuals still pending, which re-screens them.  Zero and non-finite
-    products are never skipped; a product whose norm overflows is scaled
-    before it is normalised.  The dimension limit is checked after each
+    products are never skipped; a product whose squared entries overflow
+    or underflow is scaled before it is normalised.  The dimension limit is checked after each
     frontier element, as _generation checks it.  So the basis gets bit for
     bit the columns _generation would give it.
     """
@@ -569,10 +569,12 @@ def _screened_generation(frontier: list, ops, stacked: np.ndarray,
             p = np.matmul(stacked[i0:i1], w).reshape(-1, size)
             with np.errstate(over="ignore", invalid="ignore"):
                 norms = np.linalg.norm(p, axis=1)
-                big = np.isinf(norms)
-                if big.any():  # an entry's square overflowed: scale those rows
-                    p[big] /= np.abs(p[big]).max(axis=1)[:, None]
-                    norms[big] = np.linalg.norm(p[big], axis=1)
+                # squares of the entries overflowed or underflowed: scale
+                # those rows first; a zero or non-finite row stays unscreened
+                odd = ~((norms > 1e-150) & (norms < np.inf))
+                if odd.any():
+                    p[odd] /= np.abs(p[odd]).max(axis=1)[:, None]
+                    norms[odd] = np.linalg.norm(p[odd], axis=1)
             finite = np.isfinite(norms) & (norms > 0)
             p[~finite] = 0
             p /= np.where(finite, norms, 1.0)[:, None]

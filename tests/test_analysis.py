@@ -937,9 +937,10 @@ def test_screened_spin_matches_loop_spin(monkeypatch, case):
 
 
 def test_screened_spin_at_a_tiny_twist(monkeypatch):
-    # the dual spin's operators have entries near 1/y = 1e170, so the squared
-    # norms of their products overflow: those products are scaled before the
-    # screen normalises them, and the screen still skips products there
+    # the kernel spin's operators have entries near y = 1e-170 and the dual
+    # spin's near 1/y, so the squared entries of their products underflow or
+    # overflow: those products are scaled before the screen normalises them,
+    # and the screen still skips products in both spins
     import warnings
 
     rho = character_twist(specialize(standard_rep(9), 2 + 0j), 1e-170)
@@ -961,7 +962,8 @@ def test_screened_spin_at_a_tiny_twist(monkeypatch):
                 outcomes.append(_spin_outcome(spin, call))
             (ref, got) = outcomes
             assert got[:2] == ref[:2] and np.array_equal(got[2], ref[2])
-        assert inserts[3] < inserts[2]  # the dual spin: loop, then screened
+        # loop, then screened: the kernel spin, then the dual spin
+        assert inserts[1] < inserts[0] and inserts[3] < inserts[2]
 
 
 # ---------------------------------------------------------------------------
