@@ -72,9 +72,7 @@ from .matrix import (
     eigen_numeric,
     intertwiner_space,
 )
-from .reps import Rep, _twisted_standard, check_braid_relations
-# the verdict benchmark's tracer wraps these two by their names here
-from .reps import specialize, standard_rep  # noqa: F401
+from .reps import Rep, character_twist, check_braid_relations, specialize, standard_rep
 
 __all__ = [
     "RecoveredParams",
@@ -376,7 +374,7 @@ def classify(rho: Rep, tol: float = DEFAULT_TOL,
             "image span has dimension %d of %d; the representation is reducible"
             % (burnside.dimension, rho.degree ** 2))
     params = recover_parameters(rho, tol, cluster_tol)
-    model = _twisted_standard(rho.strands, params.u, params.y)
+    model = character_twist(specialize(standard_rep(rho.strands), params.u), params.y)
     cert = certify_equivalence(rho, model, tol, cluster_tol)
     contradiction = rho.strands >= 9 and cert.verdict == "NOT_EQUIVALENT"
     notes = ""
@@ -507,7 +505,7 @@ def _audit_trial(args) -> AuditRow:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
     y = _sample_y(rng)
     u = _sample_u(rng)
-    base = _twisted_standard(n, u, y)
+    base = character_twist(specialize(standard_rep(n), u), y)
     p = _sample_basis(rng, n)
     rho = Rep(n, p @ base.stack @ np.linalg.inv(p), "hidden twisted family", check=False)
     try:

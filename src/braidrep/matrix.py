@@ -594,7 +594,8 @@ class Mat:
         evaluated once."""
         if self.domain is not Domain.LAURENT:
             raise ValueError("eval_at applies to Laurent matrices")
-        target = Domain.RATIONAL if isinstance(u, (int, Fraction)) else Domain.COMPLEX
+        if not isinstance(u, (int, Fraction)):
+            return Mat.from_numpy(_eval_complex_stack([self], u)[0])
         nzs = self._nonzeros()
         size = self.rows * self.cols
         # the zero polynomial, when present, is one more distinct entry
@@ -610,11 +611,9 @@ class Mat:
                 if v is None:
                     v = values[x] = x.eval(u)
                 out[base + j] = v
-        if target is Domain.COMPLEX:
-            return Mat(self.rows, self.cols, target, np.array(out, dtype=complex))
         # a nonzero polynomial can vanish at u
         nz = tuple(tuple(j for j in cols if out[i * c + j]) for i, cols in enumerate(nzs))
-        return Mat._trusted(self.rows, self.cols, target, out, nz)
+        return Mat._trusted(self.rows, self.cols, Domain.RATIONAL, out, nz)
 
     # -- linear algebra (delegates) -----------------------------------------
 
@@ -660,6 +659,42 @@ def _scale_complex(a: np.ndarray, s: complex) -> np.ndarray:
     can differ in the last bit."""
     out = (s.real * a.real - s.imag * a.imag).astype(complex)
     out.imag = s.real * a.imag + s.imag * a.real
+    return out
+
+
+def _eval_complex_stack(mats: Sequence["Mat"], u) -> np.ndarray:
+    """LAURENT matrices of one shape evaluated at float or complex u, as one
+    (len(mats), rows, cols) complex array: the array is filled with the
+    zero polynomial's value, and only nonzero-index entries are written.
+    Each distinct entry is evaluated once, the zero polynomial once per
+    stack, the others once per matrix, as eval_at does for an exact u.
+    Entries are looked up by identity before equality, which hashes the
+    polynomial."""
+    rows, cols = mats[0].rows, mats[0].cols
+    nonzeros = [m._nonzeros() for m in mats]
+    zero = 0j
+    if sum(len(js) for nz in nonzeros for js in nz) < len(mats) * rows * cols:
+        zero = _OPS[Domain.LAURENT].zero.eval(u)
+    where: list[tuple[int, int, int]] = []
+    out_values = []
+    for k, m in enumerate(mats):
+        by_id: dict[int, complex] = {}
+        values: dict[LaurentPoly, complex] = {}
+        e = m.entries
+        for i, js in enumerate(nonzeros[k]):
+            for j in js:
+                x = e[i * cols + j]
+                v = by_id.get(id(x))
+                if v is None:
+                    v = values.get(x)
+                    if v is None:
+                        v = values[x] = x.eval(u)
+                    by_id[id(x)] = v
+                where.append((k, i, j))
+                out_values.append(v)
+    out = np.full((len(mats), rows, cols), zero, dtype=complex)
+    if where:
+        out[tuple(np.array(where).T)] = out_values
     return out
 
 

@@ -39,6 +39,7 @@ from .matrix import (
     DEFAULT_TOL,
     Domain,
     Mat,
+    _eval_complex_stack,
     _inverse_stack,
     _relative_residuals,
     _scale_complex,
@@ -115,7 +116,7 @@ class Rep:
 
     A COMPLEX rep holds its generators as one read-only (strands - 1, n, n)
     array, stack, and its Mats are views of it; gens may also be given as
-    such an array, which the rep then takes over.  Its inverses are taken
+    such an array, which the rep copies.  Its inverses are taken
     and checked in one batched call, at construction when check is set,
     else on first use, and are kept as one stack too (inverse_stack)."""
 
@@ -123,25 +124,26 @@ class Rep:
                  check: bool = True, tol: float = DEFAULT_TOL):
         if strands < 2:
             raise ValueError("a representation needs at least 2 strands")
-        stack = None
         if isinstance(gens, np.ndarray):
-            stack = np.asarray(gens, dtype=complex)
-            gens = [Mat._trusted(a.shape[0], a.shape[1], Domain.COMPLEX, a) for a in stack]
-        gens = tuple(gens)
-        if len(gens) != strands - 1:
-            raise ValueError(
-                "expected %d generator images, got %d" % (strands - 1, len(gens))
-            )
-        degree = gens[0].rows
+            stack = np.array(gens, dtype=complex)  # a copy the rep owns
+            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+                raise ValueError("a generator stack must be an (m, n, n) array")
+            count, degree, domain = len(stack), stack.shape[1], Domain.COMPLEX
+        else:
+            stack, gens = None, tuple(gens)
+            count = len(gens)
+            degree, domain = (gens[0].rows, gens[0].domain) if gens else (0, None)
+        if count != strands - 1:
+            raise ValueError("expected %d generator images, got %d" % (strands - 1, count))
         if degree < 1:
             raise ValueError("a representation needs degree at least 1")
-        domain = gens[0].domain
-        for g in gens:
-            if not g.is_square or g.rows != degree or g.domain != domain:
-                raise ValueError("generator images must be square, one size, one domain")
-        if domain is Domain.COMPLEX:
-            if stack is None:
+        if stack is None:
+            for g in gens:
+                if not g.is_square or g.rows != degree or g.domain != domain:
+                    raise ValueError("generator images must be square, one size, one domain")
+            if domain is Domain.COMPLEX:
                 stack = np.stack([g.entries for g in gens])
+        if stack is not None:
             stack.flags.writeable = False
             gens = tuple(Mat._trusted(degree, degree, domain, a) for a in stack)
         self.strands = strands
@@ -370,42 +372,20 @@ def specialize(rho: Rep, u) -> Rep:
         raise ZeroSubstitution("t=0 is outside the invertible locus")
     exact = isinstance(u, (int, Fraction))
     u = Fraction(u) if exact else complex(u)
-    gens = [g.eval_at(u) for g in rho.gens]
     if exact:
+        gens = [g.eval_at(u) for g in rho.gens]
         for k, g in enumerate(gens):
             if g.det() == 0:
                 raise NotInvertible("generator s%d is singular at t=%s" % (k + 1, u))
-    out = Rep(rho.strands, gens, _specialized_label(rho.label, u), check=False)
+    else:
+        gens = _eval_complex_stack(rho.gens, u)
+    label = "%s@t=%s" % (rho.label or "rep", _fmt_scalar(u))
+    if u == 1:
+        label += " [u=1 permutation point]"
+    out = Rep(rho.strands, gens, label, check=False)
     if not exact:
         out._inv_stack = _inverse_stack(out.stack, DEFAULT_TOL)
     return out
-
-
-def _specialized_label(label: str, u) -> str:
-    label = "%s@t=%s" % (label or "rep", _fmt_scalar(u))
-    return label + " [u=1 permutation point]" if u == 1 else label
-
-
-def _twisted_standard(n: int, u: complex, y: complex) -> Rep:
-    """character_twist(specialize(standard_rep(n), u), y) for complex u and
-    y, bit for bit, written into one zero stack with O(n) writes per
-    generator.  The entries are the family's 0, 1 and t evaluated at u as
-    specialize evaluates them; specialize's invertibility check runs on the
-    untwisted stack, and the twist, one pass over the stack, rounds as
-    Mat.scale does."""
-    if u == 0:
-        raise ZeroSubstitution("t=0 is outside the invertible locus")
-    u, y = complex(u), complex(y)
-    if y == 0:
-        raise ZeroScalar("twist by zero leaves the general linear group")
-    zero, one, t = (p.eval(u) for p in (LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.t()))
-    k, d = np.arange(n - 1), np.arange(n)
-    stack = np.zeros((n - 1, n, n), dtype=complex)  # zero is 0j: eval's complex(0)
-    stack[:, d, d] = one
-    stack[k, k, k], stack[k, k, k + 1], stack[k, k + 1, k], stack[k, k + 1, k + 1] = zero, t, one, zero
-    _inverse_stack(stack, DEFAULT_TOL)
-    label = "chi(%s)*%s" % (_fmt_scalar(y), _specialized_label("standard(%d)" % n, u))
-    return Rep(n, _scale_complex(stack, y), label, check=False)
 
 
 def eval_word(rho: Rep, w: BraidWord) -> Mat:

@@ -39,7 +39,6 @@ from braidrep.matrix import (
 )
 from braidrep.reps import (
     Rep,
-    _twisted_standard,
     burau_rep,
     character_rep,
     character_twist,
@@ -334,26 +333,35 @@ def test_batched_inverse_names_the_failing_generator():
             specialize(burau_rep(4), 1e-320 + 0j)
 
 
+_MODEL_POINTS = [(2.5 + 0.5j, 0.7 - 1.2j), (-1.5 + 0j, 1j), (2 + 0j, 1e-170 + 0j),
+                 (1e-13 + 0j, 1.3 + 0.4j), (1e30 + 0j, -0.5 + 2j), (1 + 0j, -1 + 0j),
+                 (-0.0 - 2j, -0.0 - 1j)]
+
+
 @pytest.mark.parametrize("n", [5, 9, 12])
-@pytest.mark.parametrize("u, y", [(2.5 + 0.5j, 0.7 - 1.2j), (-1.5 + 0j, 1j), (2 + 0j, 1e-170 + 0j),
-                                  (1e-13 + 0j, 1.3 + 0.4j), (1e30 + 0j, -0.5 + 2j),
-                                  (1 + 0j, -1 + 0j), (-0.0 - 2j, -0.0 - 1j)])
-def test_twisted_standard_matches_the_laurent_path(n, u, y):
-    ref = character_twist(specialize(standard_rep(n), u), y)
-    got = _twisted_standard(n, u, y)
-    assert got.stack.tobytes() == ref.stack.tobytes()
-    assert got.label == ref.label and got == ref
+@pytest.mark.parametrize("family, u, y", [(standard_rep, u, y) for u, y in _MODEL_POINTS]
+                         + [(burau_rep, u, y) for u, y in _MODEL_POINTS[:3]])
+def test_stacked_model_matches_entrywise_evaluation(n, family, u, y):
+    # the model classify builds, against every entry evaluated and twisted
+    # by Python's own complex arithmetic
+    laurent = family(n)
+    model = character_twist(specialize(laurent, u), y)
+    ref = np.array([[[y * g.at(i, j).eval(u) for j in range(n)] for i in range(n)]
+                    for g in laurent.gens])
+    assert model.stack.tobytes() == ref.tobytes()
+    assert model.label == "chi(%r)*%s(%d)@t=%r%s" % (
+        y.real if y.imag == 0 else y, family.__name__[:-4], n, u.real if u.imag == 0 else u,
+        " [u=1 permutation point]" if u == 1 else "")
 
 
-def test_twisted_standard_keeps_the_specialize_checks():
-    for u, y, error in ((0j, 1j, ZeroSubstitution), (2j, 0j, ZeroScalar)):
-        with pytest.raises(error):
-            _twisted_standard(5, u, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NotInvertible) as ref:
-            specialize(standard_rep(5), 1e-320 + 0j)
-        with pytest.raises(NotInvertible, match="^%s$" % str(ref.value)):
-            _twisted_standard(5, 1e-320 + 0j, 2 + 0j)
+def test_rep_copies_a_stack_and_checks_its_shape():
+    gens = character_twist(specialize(standard_rep(4), 2 + 0j), 1j).stack.copy()
+    rho = Rep(4, gens)
+    gens[0, 0, 0] = 5
+    assert rho.stack[0, 0, 0] == 0 and not rho.stack.flags.writeable and gens.flags.writeable
+    for bad in (gens[0], gens[:, :, :3], gens[:2]):
+        with pytest.raises(ValueError):
+            Rep(4, bad)
 
 
 def test_noninvertible_generator_rejected():
