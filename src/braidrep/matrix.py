@@ -675,8 +675,7 @@ def _eval_complex_stack(mats: Sequence["Mat"], u) -> np.ndarray:
     zero = 0j
     if sum(len(js) for nz in nonzeros for js in nz) < len(mats) * rows * cols:
         zero = _OPS[Domain.LAURENT].zero.eval(u)
-    where: list[tuple[int, int, int]] = []
-    out_values = []
+    out = np.full((len(mats), rows, cols), zero, dtype=complex)
     for k, m in enumerate(mats):
         by_id: dict[int, complex] = {}
         values: dict[LaurentPoly, complex] = {}
@@ -690,11 +689,7 @@ def _eval_complex_stack(mats: Sequence["Mat"], u) -> np.ndarray:
                     if v is None:
                         v = values[x] = x.eval(u)
                     by_id[id(x)] = v
-                where.append((k, i, j))
-                out_values.append(v)
-    out = np.full((len(mats), rows, cols), zero, dtype=complex)
-    if where:
-        out[tuple(np.array(where).T)] = out_values
+                out[k, i, j] = v
     return out
 
 
