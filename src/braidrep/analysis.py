@@ -69,7 +69,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -92,6 +92,7 @@ from .matrix import (
     Mat,
     _canonical_exact_vector,
     _content,
+    _integer_singular,
     _np_nullspace,
     charpoly,
     column_space,
@@ -204,35 +205,62 @@ class _ShiftRank:
     """rank(g - lam*I) for one square g: exact at an exact lam, and at a
     complex lam rank_numeric of the shifted complex matrix at tol.
 
-    An exact g that Mat._split reads as c*I off a closed block S is ranked
-    on its principal submatrix over S and one unmoved index k, adding
-    n - |S| - 1 when that submatrix counts the pivot c - lam at (k, k).
-    g - lam*I is block-diagonal, its block on S beside the 1x1 blocks
-    c - lam, and rank adds over blocks, so exact ranks agree.  Complete
-    pivoting never mixes blocks: a pivot's row and column are zero off its
-    block, so each block is reduced as it would be alone, up to the order
-    of equal-magnitude pivots, and the untouched pivots c - lam count alike.
-    The submatrix has the full matrix's max-norm, so rank_numeric applies the
-    same tol * scale cutoff.
+    An exact g that Mat._split reads as c*I off a closed block S, with an
+    index k = max(S) + 1 < n (k = 0 for g = c*I), is ranked on its leading
+    principal submatrix through k, adding the n - k - 1 indices after k
+    when that submatrix counts the pivot c - lam at (k, k).  Every index
+    outside S is unmoved, so g - lam*I is block-diagonal, its block on S
+    beside the 1x1 blocks c - lam, and rank adds over blocks, so exact
+    ranks agree.  Complete pivoting never mixes blocks: a pivot's row and
+    column are zero off its block, so each block is reduced as it would be
+    alone, up to the order of equal-magnitude pivots, and the untouched
+    pivots c - lam count alike.  The submatrix has the full matrix's
+    max-norm, so rank_numeric applies the same tol * scale cutoff.
     """
 
     def __init__(self, g: Mat, tol: float = DEFAULT_TOL):
         self.tol = tol
         self.g, self.c, self.k, self.rest = g, None, None, 0
         self._complex = None
+        self._rows = None
         split = g._split() if g.domain is not Domain.COMPLEX else None
         if split is not None:
-            self.c, _, block = split
-            k = next(r for r in range(g.rows) if r not in block)
-            idx = sorted((*block, k))
-            self.g = g._principal(idx)
-            self.k = idx.index(k)
-            self.rest = g.rows - len(idx)
+            c, _, block = split
+            k = block[-1] + 1 if block else 0
+            if k < g.rows:
+                self.c, self.k, self.rest = c, k, g.rows - k - 1
+                self.g = g._principal(range(k + 1))
 
     def exact(self, lam) -> int:
         lam = ops_for(self.g.domain).coerce(lam)
         r = rank_exact(self.g._shift(lam))
         return r + self.rest if lam != self.c else r
+
+    def singular(self, f: Fraction) -> bool:
+        """exact(f) < n for a RATIONAL g, without a rank: det(P - f*I) = 0
+        for the ranked matrix P, since g - f*I is P - f*I beside pivots
+        c - f, and f = c makes P - f*I singular at k.  With f = p/q, the
+        rows of q*P - p*I scaled to integers, row i by the lcm d_i of the
+        denominators in row i of P, give one integer determinant."""
+        if self._rows is None:
+            e, m = self.g.entries, self.g.cols
+            self._rows = []
+            for i, cols in enumerate(self.g._nonzeros()):
+                xs = [e[i * m + j] for j in cols]
+                d = lcm(*(x.denominator for x in xs))
+                self._rows.append((d, {j: x.numerator * (d // x.denominator)
+                                       for j, x in zip(cols, xs)}))
+        p, q = f.numerator, f.denominator
+        rows = []
+        for i, (d, row) in enumerate(self._rows):
+            r = {j: q * x for j, x in row.items()}
+            x = r.get(i, 0) - p * d
+            if x:
+                r[i] = x
+            else:
+                r.pop(i, None)
+            rows.append(r)
+        return _integer_singular(rows, self.g.rows)
 
     def numeric(self, lam: complex) -> int:
         if self._complex is None:
@@ -250,20 +278,30 @@ def _eig_candidates(g: Mat, cluster_tol: float,
                     rank: _ShiftRank | None = None) -> list[tuple[object, int, bool, int | None]]:
     """Eigenvalues of a rational or complex matrix as (value, mult, exact,
     rank), rank being the exact rank of g - value*I for an exact value and
-    None otherwise.
+    None otherwise.  Ordered by _axis_key.  rank, when given, is g's
+    _ShiftRank.
 
-    Rational matrices get their rational eigenvalues verified exactly (the
-    shifted matrix is singular), the rest stay floating.  Ordered by
-    _axis_key.  rank, when given, is g's _ShiftRank.
+    The spectrum is that of the ranked submatrix, and the cluster of c
+    gains the unmoved indices it leaves out, all after it.  LAPACK's
+    balancing peels those trailing rows off in place before it permutes
+    any other, so the submatrix's eigenvalues are the whole matrix's bit
+    for bit, and since it has g's max-norm, so are the clusters.  Rational
+    matrices get their rational eigenvalues verified exactly: a candidate
+    must make the submatrix singular, by one integer determinant
+    (_ShiftRank.singular), and only one that does pays an exact rank.  The
+    rest stay floating.
     """
-    clusters = eigen_numeric(g, cluster_tol)
     if rank is None:
         rank = _ShiftRank(g)
+    home = complex(rank.c) if rank.rest else None
+    clusters = eigen_numeric(rank.g, cluster_tol, home, rank.rest)
     ranks = {}
 
     def singular(f):
+        if not rank.singular(f):
+            return False
         ranks[f] = rank.exact(f)
-        return ranks[f] < g.rows
+        return True
 
     out = []
     for c, mult in clusters:
@@ -331,9 +369,12 @@ def corank(rho: Rep, tol: float = DEFAULT_TOL,
     agree; a spread of values raises GenericDisagreement.
 
     An exact rho(s1) equal to c*I off a closed block S (c = y after a
-    twist) makes rho(s1) - y*I block-diagonal, so each rank is taken on S
-    and one unmoved index (_ShiftRank); eigenvalues still come from the
-    whole matrix.
+    twist) makes rho(s1) - y*I block-diagonal, so each rank is taken on
+    the leading submatrix through the first index after S (_ShiftRank),
+    S and one unmoved index for the block families, and so is the
+    spectrum: the eigenvalues of that submatrix, c's cluster counting the
+    indices it leaves out (_eig_candidates).  Each rational candidate is
+    checked by one integer determinant there before it pays an exact rank.
     """
     g = rho.gen(1)
     if rho.domain is Domain.LAURENT:
@@ -1522,7 +1563,9 @@ def invariant_subspace_search(rho: Rep, tries: int = 30, seed: int = 0,
     invariance directly.  Rational representations only accept shifts that
     verify exactly, so a reported subspace is exact; the complex domain spins
     numerically, and a spun subspace counts only once _checked verifies it,
-    else the search goes on.  Deterministic for a fixed seed.
+    else the search goes on.  A complex combination that overflows the float
+    range ends the search with nothing found.  Deterministic for a fixed
+    seed.
     """
     if rho.domain is Domain.LAURENT:
         raise ValueError("invariant subspace search runs over a scalar field; specialize first")
@@ -1531,7 +1574,10 @@ def invariant_subspace_search(rho: Rep, tries: int = 30, seed: int = 0,
     ops = [_integer_array(g) if exact_domain else g.as_numpy() for g in rho.gens]
     for trial in range(tries):
         rng = random.Random(seed * 1_000_003 + trial)
-        a = _random_image_combination(rho, rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = _random_image_combination(rho, rng)
+        if not exact_domain and not np.isfinite(a.entries).all():
+            break  # products of the images leave the float range
         for c, _, exact, _ in _eig_candidates(a, cluster_tol):
             if exact_domain and not exact:
                 continue

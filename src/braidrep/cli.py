@@ -397,10 +397,54 @@ def _strict(x):
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(x, indent: str = "") -> str:
+    """json.dumps(x, sort_keys=True, indent=2, allow_nan=False), byte for
+    byte, for str-keyed dicts, lists, tuples, str, int, float, bool and
+    None: scalars as json writes them (encode_basestring_ascii,
+    int.__repr__, float.__repr__), and one str.join per container, where
+    json's encoder, pure Python once indent is set, yields every piece
+    from a generator.  A non-finite float raises ValueError, as json does;
+    anything else json may take raises TypeError."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return float.__repr__(x)
+    inner = indent + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        items = [_quote(v) if type(v) is str else _dumps(v, inner) for v in x]
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        if not all(isinstance(k, str) for k in x):
+            raise TypeError("report keys must be str")
+        items = [_quote(k) + ": " + _dumps(v, inner) for k, v in sorted(x.items())]
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
+    raise TypeError("cannot write %s" % type(x).__name__)
+
+
 def _emit(env: dict, out_path: str | None) -> None:
     try:
-        text = json.dumps(env, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:  # a non-finite float: rebuild the report without it
+        try:
+            text = _dumps(env)
+        except ValueError:  # a non-finite float: rebuild the report without it
+            text = _dumps(_strict(env))
+    except TypeError:  # a key or value only json.dumps takes, or none does
         text = json.dumps(_strict(env), sort_keys=True, indent=2, allow_nan=False)
     text += "\n"
     if out_path:

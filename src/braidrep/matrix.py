@@ -155,14 +155,6 @@ def ops_for(domain: Domain) -> _Ops:
     return _OPS[domain]
 
 
-def entry_to_json(x, domain: Domain):
-    if domain is Domain.RATIONAL:
-        return str(x)
-    if domain is Domain.LAURENT:
-        return x.format()
-    return [float(x.real), float(x.imag)]
-
-
 def entry_from_json(v, domain: Domain):
     try:
         if domain is Domain.RATIONAL:
@@ -591,7 +583,8 @@ class Mat:
     def eval_at(self, u) -> "Mat":
         """Evaluate a LAURENT matrix at t=u: Fraction u gives a RATIONAL
         matrix, float/complex u a COMPLEX one.  Each distinct entry is
-        evaluated once."""
+        evaluated once, looked up by identity before equality, as
+        _eval_complex_stack does."""
         if self.domain is not Domain.LAURENT:
             raise ValueError("eval_at applies to Laurent matrices")
         if not isinstance(u, (int, Fraction)):
@@ -600,16 +593,20 @@ class Mat:
         size = self.rows * self.cols
         # the zero polynomial, when present, is one more distinct entry
         zero = _OPS[Domain.LAURENT].zero.eval(u) if sum(map(len, nzs)) < size else None
-        values: dict[LaurentPoly, object] = {}
+        by_id: dict[int, Fraction] = {}
+        values: dict[LaurentPoly, Fraction] = {}
         out = [zero] * size
         e, c = self.entries, self.cols
         for i, cols in enumerate(nzs):
             base = i * c
             for j in cols:
                 x = e[base + j]
-                v = values.get(x)
+                v = by_id.get(id(x))
                 if v is None:
-                    v = values[x] = x.eval(u)
+                    v = values.get(x)
+                    if v is None:
+                        v = values[x] = x.eval(u)
+                    by_id[id(x)] = v
                 out[base + j] = v
         # a nonzero polynomial can vanish at u
         nz = tuple(tuple(j for j in cols if out[i * c + j]) for i, cols in enumerate(nzs))
@@ -645,11 +642,22 @@ class Mat:
         return _exact_inverse(self)
 
     def to_json_dict(self) -> dict:
+        """rows, cols, domain and the row-major entries: COMPLEX ones as
+        [re, im] float pairs, exact ones as strings.  Each distinct exact
+        entry object is formatted once, looked up by identity: a family's
+        generators share the ring's constants."""
+        if self.domain is Domain.COMPLEX:
+            entries = np.ascontiguousarray(self.entries).view(float).reshape(-1, 2).tolist()
+        else:
+            fmt = str if self.domain is Domain.RATIONAL else LaurentPoly.format
+            ids = list(map(id, self.entries))
+            text = {i: fmt(x) for i, x in dict(zip(ids, self.entries)).items()}
+            entries = list(map(text.__getitem__, ids))
         return {
             "rows": self.rows,
             "cols": self.cols,
             "domain": self.domain.value,
-            "entries": [entry_to_json(x, self.domain) for x in self._flat()],
+            "entries": entries,
         }
 
 
@@ -848,6 +856,18 @@ def _fraction_free(a: list[dict], ncols: int, o: _Ops,
         for i in range(m):
             catch_up(i)
     return pivots, prev, sign
+
+
+# Python ints as a scalar ring for _fraction_free, whose divisions are exact
+_INT_OPS = _Ops(0, 1, operator.not_, lambda x: x == 1, operator.floordiv, abs, int)
+
+
+def _integer_singular(rows: list[dict], n: int) -> bool:
+    """Whether the n x n integer matrix with these {column: value} rows of
+    its nonzeros, reduced in place, has determinant 0: one fraction-free
+    (Bareiss) elimination in Python ints finds fewer than n pivots."""
+    pivots, _, _ = _fraction_free(rows, n, _INT_OPS, False)
+    return len(pivots) < n
 
 
 def _exact_inverse(m: Mat) -> Mat:
@@ -1065,13 +1085,20 @@ def rank_numeric(m: Mat, tol: float = DEFAULT_TOL) -> int:
     return r
 
 
-def eigen_numeric(m: Mat, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[tuple[complex, int]]:
+def eigen_numeric(m: Mat, cluster_tol: float = DEFAULT_CLUSTER_TOL, home: complex | None = None,
+                  extra: int = 0) -> list[tuple[complex, int]]:
     """Clustered eigenvalues of a square matrix as (value, multiplicity).
 
     Eigenvalues closer than cluster_tol * max-norm are merged by single
     linkage; if a merged group has diameter beyond the threshold (a chain of
     borderline gaps with no consistent grouping) ClusterAmbiguous is raised
     rather than guessing.  Results are sorted by (real, imag).
+
+    With home, one of m's diagonal entries, the cluster of the eigenvalue
+    nearest home gains extra more eigenvalues home, listed after m's own:
+    the spectrum of a matrix with m's max-norm whose leading principal
+    block is m and whose other indices are isolated, with diagonal entry
+    home.
     """
     if not m.is_square:
         raise ValueError("eigenvalues of a non-square matrix")
@@ -1101,16 +1128,18 @@ def eigen_numeric(m: Mat, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[tupl
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
+    grown = find(int(np.argmin(np.abs(vals - home)))) if home is not None else None
     out = []
-    for idxs in groups.values():
-        pts = [vals[i] for i in idxs]
+    for root, idxs in groups.items():
         diam = float(dist.take(idxs, 0).take(idxs, 1).max()) if len(idxs) > 1 else 0.0
         if diam > thr:
             raise ClusterAmbiguous(
                 "eigenvalue chain of diameter %.3g straddles threshold %.3g" % (diam, thr)
             )
-        center = complex(sum(pts) / len(pts))
-        out.append((center, len(pts)))
+        pts = [vals[i] for i in idxs]
+        if root == grown:
+            pts += [home] * extra
+        out.append((complex(sum(pts) / len(pts)), len(pts)))
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
 

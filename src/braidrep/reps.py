@@ -345,7 +345,8 @@ def character_twist(rho: Rep, y) -> Rep:
     """Tensor with the character y: every generator image is scaled by y.
 
     y must be invertible in the representation's domain (nonzero scalar, or a
-    unit of the Laurent ring)."""
+    unit of the Laurent ring).  Finite complex generators that the scaling
+    takes beyond the float range raise NumericOverflow."""
     o = ops_for(rho.domain)
     y = o.coerce(y)
     if _scalar_is_zero(y, rho.domain):
@@ -354,7 +355,13 @@ def character_twist(rho: Rep, y) -> Rep:
         raise NotInvertible("twist scalar must be a unit of the Laurent ring: %s" % y)
     label = "chi(%s)*%s" % (_fmt_scalar(y), rho.label or "rep")
     if rho.domain is Domain.COMPLEX:
-        return Rep(rho.strands, _scale_complex(rho.stack, y), label, check=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = _scale_complex(rho.stack, y)
+        if not np.isfinite(stack).all() and np.isfinite(rho.stack).all():
+            raise NumericOverflow(
+                "the twist by y = %s takes generator entries beyond the float range,"
+                " largest entry %.3g" % (_fmt_scalar(y), np.abs(rho.stack).max()))
+        return Rep(rho.strands, stack, label, check=False)
     return Rep(rho.strands, [g.scale(y) for g in rho.gens], label, check=False)
 
 

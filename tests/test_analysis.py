@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -112,8 +113,8 @@ def test_corank_standard_specialized(n, u):
 
 
 def test_corank_runs_one_elimination_per_exact_candidate(monkeypatch):
-    # u = 4: the eigenvalues 1, 2 and -2 are all rational, and each is
-    # verified and ranked by the same single elimination
+    # u = 4: the eigenvalues 1, 2 and -2 are all rational; each is verified
+    # by an integer determinant of the block and ranked by one elimination
     rho = specialize(standard_rep(9), 4)
     g = rho.gen(1)
     calls = []
@@ -125,6 +126,79 @@ def test_corank_runs_one_elimination_per_exact_candidate(monkeypatch):
     assert sorted(rep.table) == sorted(
         (v, rank(g - Mat.identity(9, Domain.RATIONAL).scale(v)), True)
         for v in (Fraction(1), Fraction(2), Fraction(-2)))
+
+
+def _whole_matrix_candidates(g):
+    """_eig_candidates as it was before the block spectrum: every
+    eigenvalue of the whole matrix, each candidate verified by its rank."""
+    rank = analysis._ShiftRank(g)
+    ranks = {}
+
+    def singular(f):
+        ranks[f] = rank.exact(f)
+        return ranks[f] < g.rows
+
+    out = []
+    for c, mult in eigen_numeric(g):
+        v = analysis._reconstruct_rational(c, singular)
+        out.append((v, mult, True, ranks[v]) if v is not None else (c, mult, False, None))
+    out.sort(key=lambda t: analysis._axis_key(complex(t[0])))
+    return out
+
+
+@pytest.mark.parametrize("family", [standard_rep, burau_rep])
+@pytest.mark.parametrize("n", [3, 4, 12, 40, 52])
+def test_block_spectrum_matches_the_whole_matrix(family, n):
+    # the Laurent sample points, rational u and twists by rational y, among
+    # them a y whose denominator is past the reconstruction's 10^9; s_i is
+    # ranked on its leading submatrix through index i + 1, so s_{n-1} on
+    # the whole matrix
+    rho = family(n)
+    for u in analysis._sample_points() + [Fraction(4), Fraction(-5, 3)]:
+        for y in (None, Fraction(-3, 5), Fraction(1, 1000000007)):
+            r = specialize(rho, u)
+            if y is not None:
+                r = character_twist(r, y)
+            for i in sorted({1, (n + 1) // 2, n - 1}):
+                g = r.gen(i)
+                rank = analysis._ShiftRank(g)
+                assert rank.rest == n - i - 2 if i < n - 1 else rank.rest == 0
+                want = _whole_matrix_candidates(g)
+                got = analysis._eig_candidates(g, 1e-6, rank)
+                c = Fraction(1) if y is None else y
+                home = min(range(len(want)), key=lambda i: abs(complex(want[i][0]) - c))
+                assert [t for i, t in enumerate(got) if i != home] == [
+                    t for i, t in enumerate(want) if i != home]
+                # c's own cluster: its center sums the left-out copies of
+                # c, so it need only reconstruct to the same exact value
+                assert got[home][1:] == want[home][1:]
+                assert got[home][1] >= n - 2
+                if want[home][2]:
+                    assert got[home][0] == want[home][0] == c
+                else:
+                    assert abs(got[home][0] - want[home][0]) <= 1e-15 * abs(c)
+
+
+def test_block_determinant_decides_as_the_exact_rank():
+    # split generators (c*I beside a block, c = y after a twist) and an
+    # unsplit conjugate, at their eigenvalues, at c, and at random fractions
+    rng = random.Random(20)
+    t = Mat.from_rows([[1, 2, -1, 0], [0, 1, 3, 1], [0, 0, 1, -2], [0, 0, 0, 1]],
+                      Domain.RATIONAL)
+    cases = [specialize(standard_rep(6), 4).gen(1),
+             specialize(burau_rep(7), Fraction(-5, 3)).gen(6),
+             character_twist(specialize(standard_rep(5), Fraction(9, 4)), Fraction(2, 7)).gen(2),
+             t @ specialize(standard_rep(4), 4).gen(2) @ t.inverse()]
+    for g in cases:
+        rank = analysis._ShiftRank(g)
+        cands = [Fraction(v) for v, _, exact, _ in analysis._eig_candidates(g, 1e-6) if exact]
+        cands += [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(25)]
+        if rank.c is not None:
+            cands.append(rank.c)
+        verdicts = [rank.singular(f) for f in cands]
+        assert verdicts == [rank.exact(f) < g.rows for f in cands]
+        assert any(verdicts) and not all(verdicts)
+    assert analysis._ShiftRank(cases[-1]).rest == 0
 
 
 def test_corank_standard_symbolic():

@@ -4,7 +4,10 @@ import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidrep.cli import main, parse_scalar
 from fractions import Fraction
@@ -540,6 +543,39 @@ def test_overflowing_rep_file_is_numeric_overflow(capsys, schema, tmp_path):
     assert doc["error"]["name"] == "NumericOverflow"
 
 
+@pytest.mark.parametrize("command", ["classify", "relations", "gen"])
+@pytest.mark.parametrize("n", [9, 12])
+def test_overflowing_twist_is_numeric_overflow(capsys, schema, command, n):
+    # u * y = 1e350: the twist itself leaves the float range, while the
+    # relations hold; once RelationFailure, "max residual nan"
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc, out = run_cli(capsys, command, "--family", "standard", "--n", str(n),
+                                 "--u=1e200+0j", "--y=1e150+0j")
+    assert code == 1 and out.count('"schema"') == 1
+    check(schema, doc)
+    assert doc["error"]["name"] == "NumericOverflow"
+    assert "twist" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("n,u", [(9, "1e30+0j"), (9, "1e13+0j"), (9, "1+1e-9j"),
+                                 (12, "1e13+0j"), (12, "1e30+0j")])
+def test_overflowing_witness_search_is_undecided(capsys, schema, n, u):
+    # at y = 1e-170 the inverse images have entries near 1e170, and the
+    # search's random products overflow: once LinAlgError, exit 2
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc, _ = run_cli(capsys, "classify", "--family", "standard", "--n", str(n),
+                               "--u=" + u, "--y=1e-170+0j")
+    assert code == 1
+    check(schema, doc)
+    assert doc["error"]["name"] == "IrreducibilityUndecided"
+
+
 def test_classify_at_a_tiny_twist_warns_nothing(capsys, schema):
     # the dual spin's products have entries near 1/y = 1e170: their squared
     # norms overflowed in the screen, which numpy printed on stderr
@@ -632,13 +668,54 @@ def test_non_finite_numbers_are_null(capsys, schema):
 @pytest.mark.parametrize("env", [
     {"a": [1.5, (2, "x")], "b": {"c": None}},
     {"a": [float("inf"), (float("nan"), 1)], "b": {"c": -float("inf")}},
+    {"z": float("nan"), "a": {"b": [[np.float64("inf"), 2.5]], "c": "\u00e9"}},
+    {"deep": [[[{"x": -float("inf")}]]], "e": [], "f": {}, "g": -0.0},
+    {1: [float("nan")], 2: {"a": 1e308}},
 ])
 def test_emit_matches_the_strict_rebuild(capsys, env):
+    # non-finite floats are written as null; the int keys of the last report
+    # go to json.dumps, the writer taking str keys only
     from braidrep.cli import _emit, _strict
 
     _emit(env, None)
     assert capsys.readouterr().out == json.dumps(
         _strict(env), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_SCALARS = st.one_of(
+    st.text(st.characters(), max_size=8),
+    st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f\x7f", "\u00e9\u2028\U0001f600"]),
+    st.integers(min_value=-10 ** 60, max_value=10 ** 60),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e-320, 5e-324, 1e308, -1.7976931348623157e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+
+_TREES = st.recursive(_SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(st.characters(), max_size=6), kids, max_size=4),
+), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_writer_matches_json_dumps(x):
+    from braidrep.cli import _dumps
+
+    assert _dumps(x) == json.dumps(x, sort_keys=True, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("x", [float("nan"), [1, float("inf")], {"a": (np.float64("-inf"),)}])
+def test_writer_refuses_non_finite_floats(x):
+    from braidrep.cli import _dumps
+
+    with pytest.raises(ValueError):
+        json.dumps(x, allow_nan=False)
+    with pytest.raises(ValueError):
+        _dumps(x)
 
 
 def test_usage_error_exits_2(capsys):

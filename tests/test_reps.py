@@ -280,6 +280,16 @@ def test_stacked_relation_residuals_match_per_pair(rho, monkeypatch):
                 (e["kind"], e["i"], e["j"]) for e in _dense_relations(rho, 1e-9)["relations"]]
 
 
+def test_twist_beyond_the_float_range_raises_numeric_overflow():
+    rho = specialize(standard_rep(9), 1e200 + 0j)
+    with np.errstate(all="raise"):  # and warns nothing
+        with pytest.raises(NumericOverflow):
+            character_twist(rho, 1e150)
+        with pytest.raises(NumericOverflow):
+            character_twist(rho, -1e150j)
+        assert np.isfinite(character_twist(rho, 1e100).stack).all()
+
+
 def test_relations_that_all_overflow_raise_numeric_overflow():
     for rho in (specialize(standard_rep(3), 1e200 + 0j), specialize(standard_rep(5), 1e200 + 0j),
                 specialize(burau_rep(9), -1e160 + 0j),
