@@ -33,17 +33,17 @@ seeds and operators are rational matrices divided by their content, so
 coprime integer arrays, and its echelon basis holds primitive integer rows
 reduced by fraction-free (Bareiss) steps, never a Fraction.
 
-A complex spin stacks its operators once, and screens each generation's
-products in blocks before any of them is inserted: one stacked matmul forms
-them, and each is normalised and projected twice off the current
-orthonormal basis.  A residual of at most a tenth of the basis tolerance
-can only shrink against the larger basis that insert would see, so such a
-product would be rejected and is skipped.  Only the other products are
-visited, found by np.flatnonzero; each is formed again and inserted one at
-a time, in the unscreened order.  The basis, the generation counts and
-every decision are those of the one-at-a-time spin.  Norton's complex test
-spins under the rep's generator stack and the transposes of its inverse
-stack.
+A complex spin stacks its operators once and tries only the products its
+screen (_screened) lets through.  The screen forms the products of a block
+of whole frontier elements by one stacked matmul, normalises each and
+projects it twice off the current orthonormal basis, and passes on only
+those whose residual is above a tenth of the basis tolerance.  A residual
+of at most tol/10 against an older basis stays below tol against a larger
+one, so insert would reject the product.  The products let through are
+formed again and inserted one at a time, in the unscreened order, so the
+basis, the generation counts and every decision are those of the
+one-at-a-time spin.  Norton's complex test spins under the rep's generator
+stack and the transposes of its inverse stack.
 
 Norton's test certifies irreducibility, and so a full span by Burnside's
 theorem, or returns the invariant subspace a short spin found.  _norton
@@ -69,6 +69,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -519,21 +520,17 @@ def _spin(seeds: list, ops: list, basis, limit: int,
 
     Elements are object arrays of Python ints for an _EchelonBasis and
     complex arrays for an _OrthoBasis, each scaled before it is inserted.
-    Runs one generation at a time: the next frontier is the products of the
-    current one that enlarged the basis, tried in frontier order and, for
-    each element, in ops order.  Stops when the frontier is empty or
-    basis.dim reaches limit, checked after each frontier element.  Returns
-    the number of generations; ClosureDiverged when more than
+    Runs one generation at a time (_generation): the next frontier is the
+    products of the current one that enlarged the basis, tried in frontier
+    order and, for each element, in ops order.  Stops when the frontier is
+    empty or basis.dim reaches limit, checked before each frontier element.
+    Returns the number of generations; ClosureDiverged when more than
     max_generations would run.
 
-    An exact spin inserts every product.  A complex spin stacks ops once,
-    and screens the products of a generation in blocks first
-    (_screened_generation): a product whose residual off the basis is at
-    most basis.tol / 10 is skipped, since against the larger basis insert
-    would measure it the residual can only be smaller, and insert rejects
-    at basis.tol.  Every other product is inserted as before, in the same
-    order, so the basis gets the same columns and every decision and count
-    stays the same.
+    An exact spin tries every product.  A complex spin stacks ops once and
+    tries only the products its screen (_screened) lets through: a product
+    it leaves out would be rejected by insert, so the basis gets the same
+    columns and every decision and count stays the same.
     """
     # a complex spin's operators, stacked once for its screens
     stacked = np.ascontiguousarray(ops) if isinstance(basis, _OrthoBasis) else None
@@ -544,106 +541,76 @@ def _spin(seeds: list, ops: list, basis, limit: int,
         if max_generations is not None and generations > max_generations:
             raise ClosureDiverged(
                 "span closure still growing after %d generations" % max_generations)
-        if stacked is None:
-            frontier = _generation(frontier, ops, basis, limit)
-        else:
-            frontier = _screened_generation(frontier, ops, stacked, basis, limit)
+        pairs = (product(range(len(frontier)), range(len(ops))) if stacked is None
+                 else _screened(frontier, stacked, basis))
+        frontier = _generation(frontier, ops, basis, limit, pairs)
     return generations
 
 
-def _generation(frontier: list, ops: list, basis, limit: int) -> list:
-    """One generation of an exact spin: every product inserted in turn."""
-    nxt = []
-    for w in frontier:
-        for g in ops:
-            x = _scaled(g @ w)
-            if basis.insert(x):
-                nxt.append(x)
-        if basis.dim >= limit:
+def _generation(frontier: list, ops: list, basis, limit: int, pairs) -> list:
+    """One generation: the product ops[i] @ frontier[k] of each pair (k, i),
+    ascending, scaled and inserted in turn; the ones insert kept.  Stops
+    before a new frontier element once basis.dim reaches limit."""
+    nxt, last = [], None
+    for k, i in pairs:
+        if k != last and basis.dim >= limit:
             break
+        last = k
+        x = _scaled(ops[i] @ frontier[k])
+        if basis.insert(x):
+            nxt.append(x)
     return nxt
 
 
-# Upper bound on the bytes of one block of screened products, unless one
-# product alone is larger.  The closure spins degree^2-long elements under
-# 2(strands - 1) operators, so a whole generation's products would take tens
-# of megabytes at degree 20, and a block of a megabyte added more than a tenth
-# to the closure's peak resident memory there.
+# Upper bound on the bytes of one block of screened products, unless the
+# products of one frontier element alone are larger, as the closure's are
+# from degree 21 on: it spins degree^2-long elements under 2(strands - 1)
+# operators.  A whole generation's products would take tens of megabytes at
+# degree 20, and a block of a megabyte added more than a tenth to the
+# closure's peak resident memory there.
 _SCREEN_BYTES = 1 << 18
 
 
-def _screened_generation(frontier: list, ops, stacked: np.ndarray,
-                         basis: _OrthoBasis, limit: int) -> list:
-    """One generation of a complex spin, as _generation would run it, with
-    the products that cannot grow the basis screened out in blocks.
+def _screened(frontier: list, stacked: np.ndarray, basis: _OrthoBasis):
+    """The pairs (k, i), ascending, whose product stacked[i] @ frontier[k]
+    may still grow basis.
 
-    stacked is ops as one array, formed once per spin.  A block holds the
-    products of as many frontier elements as fit in _SCREEN_BYTES, or of
-    one element and a range of ops, formed by one stacked matmul, each
-    normalised and projected twice off the basis columns, as insert does.
-    A product whose residual r is at most basis.tol / 10 is skipped.
-    insert would measure it against a basis that contains this one, and
-    the residual of a unit vector can only shrink as the subspace grows, so
-    there it would read at most r plus a rounding error near 1e-15; insert
-    rejects at basis.tol >= 1e-12, so it would reject the product.  Only
-    the products not skipped are visited, found by np.flatnonzero, and
-    each takes the unscreened path, in the same order: g @ w is formed
-    again on its own, scaled and handed to insert, which decides.  After
-    each accepted product, its basis column is projected out of the
-    residuals still pending, which re-screens them.  Zero and non-finite
-    products are never skipped; a product whose squared entries overflow
-    or underflow is scaled before it is normalised.  The dimension limit is checked after each
-    frontier element, as _generation checks it.  So the basis gets bit for
-    bit the columns _generation would give it.
+    Forms the products of as many whole frontier elements as fit in
+    _SCREEN_BYTES, at least one, by one stacked matmul when the block is
+    reached, normalises each and projects it twice off the basis columns of
+    that moment, as insert does, and leaves out a product whose residual is
+    at most basis.tol / 10: against the larger basis insert sees, the
+    residual of a unit vector can only shrink, up to a rounding error near
+    1e-15, and insert rejects below basis.tol >= 1e-12.  Zero and non-finite
+    products are never left out; a product whose squared entries overflow
+    or underflow is scaled before it is normalised.
     """
-    m, size = len(ops), frontier[0].size
-    rows = max(1, _SCREEN_BYTES // (16 * size))  # products per block
-    step, span = max(1, rows // m), min(m, rows)  # frontier elements, ops
+    m, size = len(stacked), frontier[0].size
+    step = max(1, _SCREEN_BYTES // (16 * size * m))  # frontier elements per block
     floor = basis.tol / 10
-    nxt = []
     for k0 in range(0, len(frontier), step):
-        chunk = frontier[k0:k0 + step]
-        w = np.stack([x.reshape(len(x), -1) for x in chunk])[:, None]
-        for i0 in range(0, m, span):
-            i1 = min(i0 + span, m)
-            width, last = i1 - i0, i1 == m
-            p = np.matmul(stacked[i0:i1], w).reshape(-1, size)
-            with np.errstate(over="ignore", invalid="ignore"):
-                norms = np.linalg.norm(p, axis=1)
-                # squares of the entries overflowed or underflowed: scale
-                # those rows first; a zero or non-finite row stays unscreened
-                odd = ~((norms > 1e-150) & (norms < np.inf))
-                if odd.any():
-                    p[odd] /= np.abs(p[odd]).max(axis=1)[:, None]
-                    norms[odd] = np.linalg.norm(p[odd], axis=1)
-            finite = np.isfinite(norms) & (norms > 0)
-            p[~finite] = 0
-            p /= np.where(finite, norms, 1.0)[:, None]
-            q = basis.q[:, :basis.dim]
-            for _ in range(2):  # each row x -= Q Q^H x, as insert projects
-                np.conjugate(p, out=p)  # in place: a copy would double the block
-                h = p @ q
-                np.conjugate(p, out=p)
-                p -= h.conj() @ q.T
-            r = np.linalg.norm(p, axis=1)
-            todo, t, k = np.flatnonzero(~(finite & (r <= floor))), 0, 0
-            while t < todo.size:
-                j = int(todo[t])
-                t += 1
-                if last and j // width > k and basis.dim >= limit:
-                    return nxt  # the limit, checked after frontier element k
-                k, i = divmod(j, width)
-                y = _scaled(ops[i0 + i] @ chunk[k])
-                if basis.insert(y):
-                    nxt.append(y)
-                    new = basis.q[:, basis.dim - 1]
-                    rest = p[j + 1:]
-                    rest -= np.outer(rest @ new.conj(), new)
-                    r[j + 1:] = np.linalg.norm(rest, axis=1)
-                    todo, t = j + 1 + np.flatnonzero(~(finite[j + 1:] & (r[j + 1:] <= floor))), 0
-            if last and basis.dim >= limit:
-                return nxt
-    return nxt
+        w = np.stack([x.reshape(len(x), -1) for x in frontier[k0:k0 + step]])[:, None]
+        p = np.matmul(stacked, w).reshape(-1, size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(p, axis=1)
+            # squares of the entries overflowed or underflowed: scale
+            # those rows first; a zero or non-finite row stays unscreened
+            odd = ~((norms > 1e-150) & (norms < np.inf))
+            if odd.any():
+                p[odd] /= np.abs(p[odd]).max(axis=1)[:, None]
+                norms[odd] = np.linalg.norm(p[odd], axis=1)
+        finite = np.isfinite(norms) & (norms > 0)
+        p[~finite] = 0
+        p /= np.where(finite, norms, 1.0)[:, None]
+        q = basis.q[:, :basis.dim]
+        for _ in range(2):  # each row x -= Q Q^H x, as insert projects
+            np.conjugate(p, out=p)  # in place: a copy would double the block
+            h = p @ q
+            np.conjugate(p, out=p)
+            p -= h.conj() @ q.T
+        keep = ~(finite & (np.linalg.norm(p, axis=1) <= floor))
+        for j in np.flatnonzero(keep).tolist():
+            yield k0 + j // m, j % m
 
 
 def _image_span(gens: list[Mat], degree: int, domain: Domain, tol: float,

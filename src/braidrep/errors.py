@@ -6,101 +6,78 @@ callers can branch on the failure kind without parsing messages.
 
 
 class BraidRepError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  Each subclass's name is its class
+    name."""
 
     name = "Error"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.name = cls.__name__
 
 
 class ZeroSubstitution(BraidRepError):
     """Evaluation at 0 requested where a negative power of t occurs, or a
     substitution that would make a generator image singular."""
 
-    name = "ZeroSubstitution"
-
 
 class NotDivisible(BraidRepError):
     """Exact division requested but the divisor does not divide the dividend."""
-
-    name = "NotDivisible"
 
 
 class IndexOutOfRange(BraidRepError):
     """Braid letter index outside 1..strands-1."""
 
-    name = "IndexOutOfRange"
-
 
 class NotInvertible(BraidRepError):
     """Matrix has no inverse in its scalar domain."""
-
-    name = "NotInvertible"
 
 
 class ClusterAmbiguous(BraidRepError):
     """Eigenvalue clustering found a chain of gaps straddling the threshold,
     so no consistent grouping exists at this tolerance."""
 
-    name = "ClusterAmbiguous"
-
 
 class ClosureDiverged(BraidRepError):
     """Algebra closure failed to stabilize within the iteration cap; this
     signals numerical trouble, not a mathematical verdict."""
-
-    name = "ClosureDiverged"
 
 
 class GenericDisagreement(BraidRepError):
     """Random specializations of a symbolic matrix disagreed on an invariant
     that should be generic."""
 
-    name = "GenericDisagreement"
-
 
 class NotScalar(BraidRepError):
     """A matrix expected to be a scalar multiple of the identity is not."""
-
-    name = "NotScalar"
 
 
 class WitnessInvalid(BraidRepError):
     """Supplied eigenvector witness fails its defining relations."""
 
-    name = "WitnessInvalid"
-
 
 class NotEigenvalue(BraidRepError):
     """Supplied scalar is not an eigenvalue of the matrix at this tolerance."""
-
-    name = "NotEigenvalue"
 
 
 class ZeroScalar(BraidRepError):
     """Scalar twist by 0 requested; the result would leave the general
     linear group."""
 
-    name = "ZeroScalar"
-
 
 class NoDominantEigenvalue(BraidRepError):
     """Parameter recovery needs an eigenvalue of multiplicity degree-2 and
     none (or more than one) exists."""
-
-    name = "NoDominantEigenvalue"
 
 
 class DegenerateU(BraidRepError):
     """Recovered deformation parameter lies at an excluded degenerate value
     (0 or 1) within tolerance."""
 
-    name = "DegenerateU"
-
 
 class NotIrreducible(BraidRepError):
     """Classification requires an irreducible input and the irreducibility
     test failed."""
-
-    name = "NotIrreducible"
 
 
 class IrreducibilityUndecided(BraidRepError):
@@ -110,13 +87,9 @@ class IrreducibilityUndecided(BraidRepError):
     subspace.  The numeric closure can under-count, so it alone never
     reports a complex input reducible."""
 
-    name = "IrreducibilityUndecided"
-
 
 class RelationFailure(BraidRepError):
     """Generator images do not satisfy the braid relations at tolerance."""
-
-    name = "RelationFailure"
 
 
 class NumericOverflow(BraidRepError):
@@ -125,10 +98,6 @@ class NumericOverflow(BraidRepError):
     It is not a relation failure: the relations may hold, as they do for
     the standard family at u = 1e200, where u^2 is beyond the range."""
 
-    name = "NumericOverflow"
-
 
 class SchemaError(BraidRepError):
     """Malformed JSON input: wrong shape, unknown domain, or bad entry."""
-
-    name = "SchemaError"

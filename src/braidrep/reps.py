@@ -312,16 +312,10 @@ def character_rep(strands: int, y, domain: Domain | None = None) -> Rep:
         else:
             domain = Domain.COMPLEX
     g = Mat(1, 1, domain, [y])
-    if _scalar_is_zero(g.at(0, 0), domain):
+    if ops_for(domain).is_zero(g.at(0, 0)):
         raise ZeroScalar("character value must be nonzero")
     return Rep(strands, [g] * (strands - 1), "chi(%s)" % _fmt_scalar(g.at(0, 0)),
                check=False)
-
-
-def _scalar_is_zero(y, domain: Domain) -> bool:
-    if domain is Domain.LAURENT:
-        return y.is_zero
-    return y == 0
 
 
 def _fmt_scalar(y) -> str:
@@ -349,7 +343,7 @@ def character_twist(rho: Rep, y) -> Rep:
     takes beyond the float range raise NumericOverflow."""
     o = ops_for(rho.domain)
     y = o.coerce(y)
-    if _scalar_is_zero(y, rho.domain):
+    if o.is_zero(y):
         raise ZeroScalar("twist by zero leaves the general linear group")
     if rho.domain is Domain.LAURENT and not y.is_unit:
         raise NotInvertible("twist scalar must be a unit of the Laurent ring: %s" % y)

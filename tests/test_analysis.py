@@ -1,11 +1,13 @@
 """Tests for the structural probes."""
 
 import cmath
+import copy
 import json
 import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from braidrep.classification import classify
 from braidrep.errors import (
     BraidRepError,
     ClosureDiverged,
+    ClusterAmbiguous,
     GenericDisagreement,
     IrreducibilityUndecided,
     NotEigenvalue,
@@ -57,7 +60,7 @@ from braidrep.reps import (
     specialize,
     standard_rep,
 )
-from test_classify import hidden_model
+from test_classify import counted_spins, hidden_model
 from test_golden import GOLDEN, HIDDEN
 
 
@@ -731,6 +734,42 @@ def test_norton_drops_a_complex_witness_that_fails_the_check(n):
         analysis._irreducibility(rho, lambda: burnside_dimension(rho))
 
 
+def _diagonal_rep(*values):
+    # a 2-strand rep has no relations to satisfy
+    return Rep(2, [Mat.from_numpy(np.diag(np.array(values, dtype=complex)))])
+
+
+def test_complex_norton_declines_an_ambiguous_spectrum(monkeypatch):
+    # the eigenvalues of s1 chain across the cluster tolerance 1e-6, so no
+    # eigenvalue is known simple; the closure then under-counts the
+    # diagonal algebra and the subspace search finds a line
+    rho = _diagonal_rep(1, 1 + 0.7e-6, 1 + 1.4e-6)
+    with pytest.raises(ClusterAmbiguous):
+        eigen_numeric(rho.gen(1))
+    spins = counted_spins(monkeypatch, analysis)
+    assert analysis._complex_norton(rho, 1e-9, 1e-6) == (None, None) and not spins
+    span, witness = analysis._irreducibility(rho, lambda: burnside_dimension(rho), measure=True)
+    assert span.method == "span" and not span.full and witness.dim == 1
+
+
+def test_complex_norton_skips_an_eigenvalue_whose_kernel_is_no_line(monkeypatch):
+    # at tol 1e-3 theta = rho(s1) - lam has two singular values at most
+    # tol * sigma_max for lam = 1 and 1 + 1e-4, which the cluster tolerance
+    # keeps apart: both are skipped, and the spin runs from e3 at lam = 3
+    span, raw = analysis._complex_norton(_diagonal_rep(1, 1 + 1e-4, 3), 1e-3, 1e-6)
+    assert span is None and raw.dim == 1
+    assert np.allclose(np.abs(raw.basis.as_numpy()[:, 0]), [0, 0, 1])
+    # with 3 double, no simple eigenvalue is left: the test declines
+    # without a spin, and the closure and the subspace search decide
+    rho = _diagonal_rep(1, 1 + 1e-4, 3, 3)
+    assert [m for _, m in eigen_numeric(rho.gen(1))] == [1, 1, 2]
+    spins = counted_spins(monkeypatch, analysis)
+    assert analysis._complex_norton(rho, 1e-3, 1e-6) == (None, None) and not spins
+    span, witness = analysis._irreducibility(
+        rho, lambda: burnside_dimension(rho, 1e-3), 1e-3, measure=True)
+    assert span.method == "span" and not span.full and witness.dim == 1
+
+
 def test_witness_gate_reduced_burau_over_q_sqrt2():
     # irreducible over Q, so there is no rational witness; Norton's test
     # declines and the exact closure decides, short of (2(n - 1))^2
@@ -964,6 +1003,10 @@ def _spin_cases():
     cases += [("burnside", "burau", 7, 2.5), ("search", "burau", 6, 2.5),
               ("search", "standard", 6, 1.0)]
     cases += [("graph", 9, 3.0, 4.0), ("graph", 9, 1.0, 1.0)]
+    # the graph spin's limit n + 1 is below its ambient 2n: at n = 7 it
+    # ends a generation before its last frontier elements, and at n = 5 the
+    # element that passes it still inserts its later products
+    cases += [("graph", 7, 3.0, 4.0), ("graph", 5, 3.0, 4.0)]
     cases += [("classify", name) for name in sorted(HIDDEN)]
     cases += [("classify", 9, _TWIST, 0.05 + 0.02j, 21), ("classify", 12, _TWIST, -2.5, 22)]
     return cases
@@ -1001,13 +1044,57 @@ def test_screened_spin_matches_loop_spin(monkeypatch, case):
         assert calls
         for call in calls:
             ref = _spin_outcome(_loop_spin, call)
-            # one byte: each block holds a single product
-            for block in (analysis._SCREEN_BYTES, 1):
+            seeds, ops = call[:2]
+            # one byte: each block holds a single frontier element; the
+            # third size holds two, so that a block boundary and the limit
+            # stop fall inside one generation of the graph spin at n = 7
+            for block in (analysis._SCREEN_BYTES, 1, 2 * 16 * seeds[0].size * len(ops)):
                 with monkeypatch.context() as mp:
                     mp.setattr(analysis, "_SCREEN_BYTES", block)
                     got = _spin_outcome(analysis._spin, call)
                 assert got[:2] == ref[:2], (tol, block)
                 assert np.array_equal(got[2], ref[2]), (tol, block)
+
+
+def _checked_generation(stops):
+    """analysis._generation that also visits the products of the pairs the
+    screen leaves out: insert must reject each on a copy of the basis as it
+    stands there.  The pairs must come strictly ascending.  stops gets the
+    frontier elements left when the limit ends a generation."""
+    def generation(frontier, ops, basis, limit, pairs):
+        pairs, nxt = iter(pairs), []
+        ahead = next(pairs, None)
+        for k, i in product(range(len(frontier)), range(len(ops))):
+            if i == 0 and basis.dim >= limit:
+                stops.append(len(frontier) - k)
+                break
+            x = analysis._scaled(ops[i] @ frontier[k])
+            if (k, i) != ahead:
+                assert not copy.deepcopy(basis).insert(x), (k, i)
+                continue
+            if basis.insert(x):
+                nxt.append(x)
+            last, ahead = ahead, next(pairs, None)
+            assert ahead is None or ahead > last
+        else:
+            assert ahead is None
+        return nxt
+    return generation
+
+
+@pytest.mark.parametrize("case", [c for c in _spin_cases()
+                                  if c[0] in ("norton", "graph", "burnside")], ids=str)
+def test_screen_leaves_out_only_rejected_products(monkeypatch, case):
+    for tol in (1e-12, 1e-9, 1e-6):
+        stops = []
+        monkeypatch.setattr(analysis, "_generation", _checked_generation(stops))
+        try:
+            _spin_run(case, tol)()
+        except BraidRepError:
+            pass
+        monkeypatch.undo()
+        if case == ("graph", 7, 3.0, 4.0):  # n + 1 after the first of four frontier elements
+            assert stops
 
 
 def test_screened_spin_at_a_tiny_twist(monkeypatch):

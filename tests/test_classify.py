@@ -164,6 +164,48 @@ def _graph_spin(a, b):
         a, b, eigen_numeric(a.gen(1)), eigen_numeric(b.gen(1)), 1e-9)
 
 
+def _conjugate_pair(values):
+    # a diagonal 2-strand rep and its conjugate by a unit triangular matrix
+    d = np.diag(np.array(values, dtype=complex))
+    p = np.eye(len(values)) + 0.25 * np.tri(len(values), k=-1)
+    return (Rep(2, [Mat.from_numpy(d)]), Rep(2, [Mat.from_numpy(p @ d @ np.linalg.inv(p))]))
+
+
+def counted_spins(monkeypatch, module):
+    """The calls to module._spin from here on; each still runs."""
+    calls, spin = [], module._spin
+
+    def counted(*args):
+        calls.append(args)
+        return spin(*args)
+
+    monkeypatch.setattr(module, "_spin", counted)
+    return calls
+
+
+def test_graph_spin_declines_without_a_simple_eigenvalue(monkeypatch):
+    # every eigenvalue of s1 is double: no seed, and the Kronecker system
+    # finds the 8-dimensional intertwiner space of the reducible pair
+    a, b = _conjugate_pair([2, 2, 3, 3])
+    spins = counted_spins(monkeypatch, classify_mod)
+    assert _graph_spin(a, b) is None and not spins
+    cert = certify_equivalence(a, b)
+    assert cert.verdict == "INCONCLUSIVE" and cert.intertwiner_dim == 8
+
+
+def test_graph_spin_declines_when_no_kernel_is_a_line(monkeypatch):
+    # at tol 1e-3 the simple eigenvalues 1 and 1 + 1e-4 of s1 have kernels
+    # of dimension 2 and 3 is double: no seed, and the Kronecker system
+    # finds an intertwiner space of dimension 8 at that tolerance
+    a, b = _conjugate_pair([1, 1 + 1e-4, 3, 3])
+    ca, cb = eigen_numeric(a.gen(1)), eigen_numeric(b.gen(1))
+    assert [m for _, m in ca] == [m for _, m in cb] == [1, 1, 2]
+    spins = counted_spins(monkeypatch, classify_mod)
+    assert classify_mod._graph_intertwiner(a, b, ca, cb, 1e-3) is None and not spins
+    cert = certify_equivalence(a, b, 1e-3)
+    assert cert.verdict == "INCONCLUSIVE" and cert.intertwiner_dim == 8
+
+
 def _graph_spin_case(case):
     if isinstance(case, str):  # a golden hidden-basis input
         n, y, u, _ = HIDDEN[case]

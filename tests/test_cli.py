@@ -53,6 +53,18 @@ def test_parse_scalar_exact_and_complex():
             parse_scalar(text)
 
 
+def test_error_names_are_class_names():
+    # the envelope's error.name: each exported error's class name, "Error"
+    # for the base class
+    import braidrep
+
+    errors = [e for e in map(braidrep.__dict__.get, braidrep.__all__)
+              if isinstance(e, type) and issubclass(e, braidrep.BraidRepError)]
+    assert len(errors) == 19
+    for e in errors:
+        assert e.name == ("Error" if e is braidrep.BraidRepError else e.__name__)
+
+
 # -- gen and round trip -----------------------------------------------------
 
 
