@@ -581,9 +581,9 @@ def _screened(frontier: list, stacked: np.ndarray, basis: _OrthoBasis):
     that moment, as insert does, and leaves out a product whose residual is
     at most basis.tol / 10: against the larger basis insert sees, the
     residual of a unit vector can only shrink, up to a rounding error near
-    1e-15, and insert rejects below basis.tol >= 1e-12.  Zero and non-finite
-    products are never left out; a product whose squared entries overflow
-    or underflow is scaled before it is normalised.
+    1e-15, and insert rejects a residual of at most basis.tol >= 1e-12.
+    Zero and non-finite products are never left out; a product whose
+    squared entries overflow or underflow is scaled before it is normalised.
     """
     m, size = len(stacked), frontier[0].size
     step = max(1, _SCREEN_BYTES // (16 * size * m))  # frontier elements per block
