@@ -14,7 +14,8 @@ code 1: u = 1 is reducible over the complex numbers and over the rationals,
 u = 1.0005 recovers a degenerate u, and an exact 4-strand input fails its
 far relation.  A cap of three generations bounds the span closure only, so
 Norton's test certifies irreducible_n7_37_9_cap3 with its six-generation
-spins.
+spins.  The two jordan_* cases divide the minimal polynomial by x - lam
+over the Laurent ring (no --u) and over the complex numbers.
 That input, far_fails_n4.rep.json, is a fixed file: the unreduced Burau
 images of B_3 at t = 5/3 for s1 and s2, and s2 s1 s2^-1 for s3.  Its
 adjacent relations hold, so the reported residual is the far one.
@@ -67,6 +68,10 @@ CASES = {
     "jordan_readme": ["jordan", "--family", "standard", "--n", "9", "--u", "3", "--y", "2",
                       "--word", "s8", "--eigenvalue", "2",
                       "--invariant-under", "1,2,3,4,5,6,8"],
+    "jordan_laurent_n8": ["jordan", "--family", "standard", "--n", "8", "--word", "s1 s2",
+                          "--eigenvalue", "1", "--invariant-under", "4,5,6,7"],
+    "jordan_complex_n6": ["jordan", "--family", "standard", "--n", "6", "--u=2.5+0.5j",
+                          "--word", "s1 s2", "--eigenvalue=1", "--invariant-under", "4,5"],
     "theta_cycle_n9": ["theta-cycle", "--family", "standard", "--n", "9", "--u", "4"],
     "classify_family_n9": ["classify", "--family", "standard", "--n", "9",
                            "--u=2.5+0j", "--y=2+0j"],
