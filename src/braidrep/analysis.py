@@ -93,16 +93,17 @@ from .matrix import (
     Mat,
     _canonical_exact_vector,
     _content,
+    _evaluate,
     _integer_singular,
     _np_nullspace,
+    _singular_rank,
     charpoly,
     column_space,
     eigen_numeric,
     minpoly,
     nullspace,
     ops_for,
-    poly_divide_linear,
-    poly_divmod_monic,
+    poly_divmod,
     poly_eval_matrix,
     poly_eval_scalar,
     rank_exact,
@@ -637,7 +638,7 @@ def burnside_dimension(rho: Rep, tol: float = DEFAULT_TOL,
     """
     if rho.domain is Domain.LAURENT:
         pts = _sample_points()
-        spans = [_image_span([m.eval_at(u) for m in rho.gens], rho.degree,
+        spans = [_image_span(_evaluate(rho.gens, u), rho.degree,
                              Domain.RATIONAL, tol, max_generations) for u in pts]
         dim = _agreed("span dimension", [d for d, _ in spans], pts)
         return BurnsideReport(rho.degree, rho.domain, dim, max(g for _, g in spans),
@@ -703,7 +704,7 @@ def _norton(rho: Rep, tol: float = DEFAULT_TOL,
         pts = _sample_points()
         notes, counts = _generic_note(pts), []
         for u in pts:
-            span, _ = _exact_norton([m.eval_at(u) for m in rho.gens])
+            span, _ = _exact_norton(_evaluate(rho.gens, u))
             if span is None:
                 return None, None
             counts.append(span[1])
@@ -787,7 +788,7 @@ def _monic(p: list) -> list:
 def _poly_gcd(f: list, g: list) -> list:
     f, g = _monic(f), _monic(g)
     while g:
-        f, g = g, _monic(poly_divmod_monic(f, g, Domain.RATIONAL)[1])
+        f, g = g, _monic(poly_divmod(f, g, Domain.RATIONAL)[1])
     return f
 
 
@@ -798,8 +799,8 @@ def _simple_part(f: list) -> list:
     def derivative(p):
         return [k * c for k, c in enumerate(p)][1:]
     g = _poly_gcd(f, derivative(f))
-    b = poly_divmod_monic(f, g, Domain.RATIONAL)[0]
-    c = poly_divmod_monic(derivative(f), g, Domain.RATIONAL)[0]
+    b = poly_divmod(f, g, Domain.RATIONAL)[0]
+    c = poly_divmod(derivative(f), g, Domain.RATIONAL)[0]
     return _poly_gcd(b, [x - y for x, y in zip(c, derivative(b))])
 
 
@@ -1414,6 +1415,7 @@ def jordan_projection(m: Mat, lam, tol: float = DEFAULT_TOL,
     """
     if not m.is_square:
         raise ValueError("jordan_projection needs a square matrix")
+    o = ops_for(m.domain)
     if m.domain is Domain.COMPLEX:
         lam_c = complex(lam)
         scale = max(m.max_norm(), 1.0)
@@ -1423,13 +1425,12 @@ def jordan_projection(m: Mat, lam, tol: float = DEFAULT_TOL,
         if near is None or not abs(near - lam_c) <= cluster_tol * scale:
             raise NotEigenvalue("%s is not an eigenvalue of the matrix" % lam_c)
         mp = minpoly(m, tol, cluster_tol)
-        q, _ = poly_divide_linear(mp, near, Domain.COMPLEX)
+        q, _ = poly_divmod(mp, [-near, o.one], m.domain)
         basis = column_space(poly_eval_matrix(q, m), tol)
         return JordanProjectionReport(near, len(basis), tuple(basis), tuple(mp))
-    o = ops_for(m.domain)
     lam_e = o.coerce(lam)
     mp = minpoly(m)
-    q, rem = poly_divide_linear(mp, lam_e, m.domain)
+    q, (rem,) = poly_divmod(mp, [-lam_e, o.one], m.domain)
     if not o.is_zero(rem):
         raise NotEigenvalue("%s does not annihilate the minimal polynomial" % (lam,))
     basis = column_space(poly_eval_matrix(q, m))
@@ -1467,8 +1468,7 @@ def subgroup_invariance_check(rho: Rep, indices, basis,
     entries = []
     if rho.domain is Domain.COMPLEX:
         u, s, _ = np.linalg.svd(basis.as_numpy(), full_matrices=False)
-        r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-        q = u[:, :r]
+        q = u[:, :_singular_rank(s, tol)]
         for i in indices:
             w = (rho.gen(i) @ basis).as_numpy()
             defect = w - q @ (q.conj().T @ w)

@@ -109,12 +109,19 @@ def _build_rep(args, tol: float):
         rho = specialize(rho, parse_scalar(args.u))
     if getattr(args, "y", None) is not None:
         y = parse_scalar(args.y)
-        if isinstance(y, complex) and rho.domain is not Domain.COMPLEX:
-            if rho.domain is Domain.LAURENT:
-                raise ValueError("a complex twist needs a specialized representation;"
-                                 " pass --u as well")
-            rho = rho.to_complex()
+        rho = _complexified(rho, y, "a complex twist needs a specialized representation;"
+                                    " pass --u as well")
         rho = character_twist(rho, y)
+    return rho
+
+
+def _complexified(rho, scalar, laurent_message: str):
+    """rho on the complex numbers when scalar is complex: an exact rho is
+    complexified, a Laurent one raises ValueError(laurent_message)."""
+    if isinstance(scalar, complex) and rho.domain is not Domain.COMPLEX:
+        if rho.domain is Domain.LAURENT:
+            raise ValueError(laurent_message)
+        return rho.to_complex()
     return rho
 
 
@@ -170,11 +177,8 @@ def _parse_indices(text: str) -> list[int]:
 def _cmd_jordan(args, tol, cluster_tol):
     rho = _build_rep(args, tol)
     lam = parse_scalar(args.eigenvalue)
-    if isinstance(lam, complex) and rho.domain is not Domain.COMPLEX:
-        if rho.domain is Domain.LAURENT:
-            raise ValueError("a complex eigenvalue needs a specialized"
-                             " representation; pass --u as well")
-        rho = rho.to_complex()
+    rho = _complexified(rho, lam, "a complex eigenvalue needs a specialized"
+                                  " representation; pass --u as well")
     word = BraidWord.parse(rho.strands, args.word)
     mat = eval_word(rho, word)
     report = jordan_projection(mat, lam, tol, cluster_tol)

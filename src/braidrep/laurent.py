@@ -190,8 +190,10 @@ class LaurentPoly:
         return LaurentPoly.term(Fraction(1) / c, -k)
 
     def divide_exact(self, other: "LaurentPoly | RationalLike") -> "LaurentPoly":
-        """Exact quotient self/other; raises NotDivisible when no exact
-        quotient exists in the Laurent ring."""
+        """Exact quotient self/other: both are shifted to ordinary
+        polynomials, divided by matrix.poly_divmod over the rationals and
+        shifted back.  Raises NotDivisible when the remainder is not zero,
+        so that no exact quotient exists in the Laurent ring."""
         other = _coerce(other)
         if other is NotImplemented:
             raise TypeError("cannot divide LaurentPoly by %r" % (other,))
@@ -199,15 +201,15 @@ class LaurentPoly:
             raise NotDivisible("division by zero polynomial")
         if self.is_zero:
             return LaurentPoly.zero()
-        # shift both to ordinary polynomials, long-divide, shift back
+        from .matrix import Domain, poly_divmod  # matrix imports this module
+
+        a, b = ([p._c.get(k, Fraction(0)) for k in range(p.deg_min, p.deg_max + 1)]
+                for p in (self, other))
         sa, sb = self.deg_min, other.deg_min
-        a = _dense(self, sa)
-        b = _dense(other, sb)
-        q, r = _dense_divmod(a, b)
+        q, r = poly_divmod(a, b, Domain.RATIONAL)
         if any(r):
             raise NotDivisible("%s does not divide %s" % (other, self))
-        out = LaurentPoly({i + sa - sb: c for i, c in enumerate(q) if c})
-        return out
+        return LaurentPoly({i + sa - sb: c for i, c in enumerate(q) if c})
 
     # -- evaluation ----------------------------------------------------------
 
@@ -307,28 +309,3 @@ def _coerce(x) -> "LaurentPoly":
     if isinstance(x, (int, Fraction)):
         return LaurentPoly.const(x)
     return NotImplemented
-
-
-def _dense(p: LaurentPoly, shift: int) -> list[Fraction]:
-    """Coefficient list of t^-shift * p, ascending, starting at exponent 0."""
-    top = p.deg_max - shift
-    out = [Fraction(0)] * (top + 1)
-    for k, c in p._c.items():
-        out[k - shift] = c
-    return out
-
-
-def _dense_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Long division of dense coefficient lists over the rationals."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    if len(a) < len(b):
-        return [Fraction(0)], a
-    q = [Fraction(0)] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / lb
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return q, a[:db] if db else [Fraction(0)]

@@ -581,36 +581,12 @@ class Mat:
         return Mat(self.rows, self.cols, Domain.COMPLEX, np.array(out))
 
     def eval_at(self, u) -> "Mat":
-        """Evaluate a LAURENT matrix at t=u: Fraction u gives a RATIONAL
-        matrix, float/complex u a COMPLEX one.  Each distinct entry is
-        evaluated once, looked up by identity before equality, as
-        _eval_complex_stack does."""
+        """Evaluate a LAURENT matrix at t=u by _evaluate: Fraction u gives a
+        RATIONAL matrix, float/complex u a COMPLEX one."""
         if self.domain is not Domain.LAURENT:
             raise ValueError("eval_at applies to Laurent matrices")
-        if not isinstance(u, (int, Fraction)):
-            return Mat.from_numpy(_eval_complex_stack([self], u)[0])
-        nzs = self._nonzeros()
-        size = self.rows * self.cols
-        # the zero polynomial, when present, is one more distinct entry
-        zero = _OPS[Domain.LAURENT].zero.eval(u) if sum(map(len, nzs)) < size else None
-        by_id: dict[int, Fraction] = {}
-        values: dict[LaurentPoly, Fraction] = {}
-        out = [zero] * size
-        e, c = self.entries, self.cols
-        for i, cols in enumerate(nzs):
-            base = i * c
-            for j in cols:
-                x = e[base + j]
-                v = by_id.get(id(x))
-                if v is None:
-                    v = values.get(x)
-                    if v is None:
-                        v = values[x] = x.eval(u)
-                    by_id[id(x)] = v
-                out[base + j] = v
-        # a nonzero polynomial can vanish at u
-        nz = tuple(tuple(j for j in cols if out[i * c + j]) for i, cols in enumerate(nzs))
-        return Mat._trusted(self.rows, self.cols, Domain.RATIONAL, out, nz)
+        out = _evaluate([self], u)[0]
+        return out if isinstance(out, Mat) else Mat.from_numpy(out)
 
     # -- linear algebra (delegates) -----------------------------------------
 
@@ -670,35 +646,44 @@ def _scale_complex(a: np.ndarray, s: complex) -> np.ndarray:
     return out
 
 
-def _eval_complex_stack(mats: Sequence["Mat"], u) -> np.ndarray:
-    """LAURENT matrices of one shape evaluated at float or complex u, as one
-    (len(mats), rows, cols) complex array: the array is filled with the
-    zero polynomial's value, and only nonzero-index entries are written.
-    Each distinct entry is evaluated once, the zero polynomial once per
-    stack, the others once per matrix, as eval_at does for an exact u.
-    Entries are looked up by identity before equality, which hashes the
-    polynomial."""
+def _evaluate(mats: Sequence["Mat"], u):
+    """LAURENT matrices of one shape evaluated at t=u.  An exact u gives a
+    list of RATIONAL Mats, each with the nonzero index its values give (a
+    nonzero polynomial can vanish at u); a float or complex u gives one
+    (len(mats), rows, cols) complex array.  One memo serves all the
+    matrices, so each distinct entry is evaluated once, the zero
+    polynomial too when some entry is zero.  Entries are looked up by
+    identity before equality, which hashes the polynomial."""
+    exact = isinstance(u, (int, Fraction))
     rows, cols = mats[0].rows, mats[0].cols
+    size = rows * cols
     nonzeros = [m._nonzeros() for m in mats]
-    zero = 0j
-    if sum(len(js) for nz in nonzeros for js in nz) < len(mats) * rows * cols:
+    zero = Fraction(0) if exact else 0j
+    if sum(len(js) for nz in nonzeros for js in nz) < len(mats) * size:
         zero = _OPS[Domain.LAURENT].zero.eval(u)
-    out = np.full((len(mats), rows, cols), zero, dtype=complex)
-    for k, m in enumerate(mats):
-        by_id: dict[int, complex] = {}
-        values: dict[LaurentPoly, complex] = {}
+    out = ([[zero] * size for _ in mats] if exact
+           else np.full((len(mats), size), zero, dtype=complex))
+    by_id: dict[int, object] = {}
+    values: dict[LaurentPoly, object] = {}
+    for m, nz, flat in zip(mats, nonzeros, out):
         e = m.entries
-        for i, js in enumerate(nonzeros[k]):
+        for i, js in enumerate(nz):
+            base = i * cols
             for j in js:
-                x = e[i * cols + j]
+                x = e[base + j]
                 v = by_id.get(id(x))
                 if v is None:
                     v = values.get(x)
                     if v is None:
                         v = values[x] = x.eval(u)
                     by_id[id(x)] = v
-                out[k, i, j] = v
-    return out
+                flat[base + j] = v
+    if not exact:
+        return out.reshape(len(mats), rows, cols)
+    return [Mat._trusted(rows, cols, Domain.RATIONAL, flat,
+                         tuple(tuple(j for j in js if flat[i * cols + j])
+                               for i, js in enumerate(nz)))
+            for flat, nz in zip(out, nonzeros)]
 
 
 def _inverse_stack(a: np.ndarray, tol: float, where: str = "") -> np.ndarray:
@@ -989,9 +974,13 @@ def _np_nullspace(a: np.ndarray, tol: float) -> np.ndarray:
         return np.eye(a.shape[1], dtype=complex)
     # a wide input needs the full vh to hold its kernel; no caller reads u
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    smax = s[0] if s.size else 0.0
-    r = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return vh[r:].conj().T
+    return vh[_singular_rank(s, tol):].conj().T
+
+
+def _singular_rank(s: np.ndarray, tol: float) -> int:
+    """How many of the descending singular values s exceed tol * sigma_max:
+    none when there are none, or sigma_max is 0 or NaN."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
 
 
 def relative_residual(a: Mat, b: Mat) -> float:
@@ -1036,11 +1025,7 @@ def column_space(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
         return []
     if m.domain is Domain.COMPLEX:
         u, s, _ = np.linalg.svd(m.entries)
-        smax = s[0] if len(s) else 0.0
-        if smax == 0.0:
-            return []
-        r = int(np.sum(s > tol * smax))
-        return [Mat(m.rows, 1, Domain.COMPLEX, u[:, j]) for j in range(r)]
+        return [Mat(m.rows, 1, Domain.COMPLEX, u[:, j]) for j in range(_singular_rank(s, tol))]
     pivots, _, _ = _fraction_free(m._row_maps(), m.cols, _OPS[m.domain], False)
     out = []
     for _, c in pivots:
@@ -1311,38 +1296,30 @@ def poly_eval_scalar(coeffs: list, x, domain: Domain):
     return acc
 
 
-def poly_divide_linear(coeffs: list, lam, domain: Domain) -> tuple[list, object]:
-    """Synthetic division by (x - lam): returns (quotient, remainder)."""
+def poly_divmod(f: list, g: list, domain: Domain) -> tuple[list, list]:
+    """Long division of f by g (ascending coefficients) over the domain:
+    (quotient, remainder), the remainder shorter than g, or [zero] for a
+    constant g.  Each quotient term is divided by g's leading coefficient
+    unless that is one.  ValueError when g is empty or leads with zero."""
     o = _OPS[domain]
-    lam = o.coerce(lam)
-    q = [o.zero] * (len(coeffs) - 1)
-    carry = o.zero
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * lam
-        q[i - 1] = carry
-    rem = coeffs[0] + carry * lam
-    return q, rem
-
-
-def poly_divmod_monic(f: list, g: list, domain: Domain) -> tuple[list, list]:
-    """Divide f by a monic g over the domain (no scalar division needed)."""
-    o = _OPS[domain]
-    if not g or g[-1] != o.one:
-        raise ValueError("divisor must be monic")
+    if not g or o.is_zero(g[-1]):
+        raise ValueError("divisor must have a nonzero leading coefficient")
     f = list(f)
-    dg = len(g) - 1
+    dg, lead = len(g) - 1, g[-1]
     if len(f) - 1 < dg:
         return [o.zero], f
+    monic = o.is_one(lead)
     q = [o.zero] * (len(f) - dg)
     for i in range(len(f) - 1, dg - 1, -1):
         c = f[i]
         if o.is_zero(c):
             continue
+        if not monic:
+            c = o.div(c, lead)
         q[i - dg] = c
         for j in range(dg + 1):
             f[i - dg + j] = f[i - dg + j] - c * g[j]
-    rem = f[:dg] if dg else [o.zero]
-    return q, rem
+    return q, f[:dg] if dg else [o.zero]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .matrix import (
     DEFAULT_TOL,
     Domain,
     Mat,
-    _eval_complex_stack,
+    _evaluate,
     _inverse_stack,
     _relative_residuals,
     _scale_complex,
@@ -159,11 +159,8 @@ class Rep:
             if domain is Domain.COMPLEX:
                 self._inv_stack = _inverse_stack(stack, tol, "generator s{}: ")
             else:
-                for k, g in enumerate(gens):
-                    try:
-                        self._inv_cache[k] = g.inverse(tol)
-                    except NotInvertible as exc:
-                        raise NotInvertible("generator s%d: %s" % (k + 1, exc)) from exc
+                for i in range(1, strands):
+                    self.gen_inverse(i)
             report = check_braid_relations(self, tol)
             if not report.ok:
                 raise RelationFailure(
@@ -373,13 +370,11 @@ def specialize(rho: Rep, u) -> Rep:
         raise ZeroSubstitution("t=0 is outside the invertible locus")
     exact = isinstance(u, (int, Fraction))
     u = Fraction(u) if exact else complex(u)
+    gens = _evaluate(rho.gens, u)
     if exact:
-        gens = [g.eval_at(u) for g in rho.gens]
         for k, g in enumerate(gens):
             if g.det() == 0:
                 raise NotInvertible("generator s%d is singular at t=%s" % (k + 1, u))
-    else:
-        gens = _eval_complex_stack(rho.gens, u)
     label = "%s@t=%s" % (rho.label or "rep", _fmt_scalar(u))
     if u == 1:
         label += " [u=1 permutation point]"

@@ -337,6 +337,22 @@ def test_jordan_not_eigenvalue(capsys, schema):
     assert doc["error"]["name"] == "NotEigenvalue"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--eigenvalue", "4", "--y=2+0j"], "a complex twist needs a specialized representation"),
+    (["--eigenvalue=1+0j"], "a complex eigenvalue needs a specialized representation"),
+], ids=["y", "eigenvalue"])
+def test_complex_scalar_complexifies_an_exact_rep_only(capsys, schema, flags, message):
+    base = ["jordan", "--family", "standard", "--n", "5", "--word", "s1 s2"]
+    code, doc, _ = run_cli(capsys, *base, *flags)
+    assert code == 2
+    check(schema, doc)
+    assert doc["error"] == {"name": "ValueError", "message": message + "; pass --u as well"}
+    code, doc, _ = run_cli(capsys, *base, "--u", "3", *flags)
+    assert code == 0
+    check(schema, doc)
+    assert [b["domain"] for b in doc["jordan"]["basis"]] == ["complex"] * doc["jordan"]["dim"]
+
+
 def test_theta_cycle_command(capsys, schema):
     code, doc, _ = run_cli(capsys, "theta-cycle", "--family", "standard",
                            "--strands", "5", "--u", "4")

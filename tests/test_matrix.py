@@ -22,8 +22,7 @@ from braidrep.matrix import (
     minpoly,
     nullspace,
     ops_for,
-    poly_divide_linear,
-    poly_divmod_monic,
+    poly_divmod,
     poly_eval_matrix,
     poly_eval_scalar,
     rank_exact,
@@ -365,7 +364,7 @@ def test_minpoly_divides_charpoly_and_annihilates():
         m = rand_rat_mat(rng, 4, -3, 3)
         mp = minpoly(m)
         assert poly_eval_matrix(mp, m).is_zero()
-        q, rem = poly_divmod_monic(charpoly(m), mp, Domain.RATIONAL)
+        q, rem = poly_divmod(charpoly(m), mp, Domain.RATIONAL)
         assert all(x == 0 for x in rem)
         # minimality: sympy rank of the Krylov stack of lower powers is full,
         # so no lower-degree monic polynomial can annihilate m
@@ -391,12 +390,53 @@ def test_minpoly_complex_from_jordan():
     assert len(minpoly(m2)) - 1 == 1
 
 
-def test_poly_divide_linear():
+def test_poly_divmod_by_a_linear_factor():
     # x^3 - 1 divided by (x - 1)
-    q, rem = poly_divide_linear([Fraction(-1), Fraction(0), Fraction(0), Fraction(1)],
-                                Fraction(1), Domain.RATIONAL)
-    assert rem == 0
+    q, rem = poly_divmod([Fraction(-1), Fraction(0), Fraction(0), Fraction(1)],
+                         [Fraction(-1), Fraction(1)], Domain.RATIONAL)
+    assert rem == [0]
     assert q == [Fraction(1), Fraction(1), Fraction(1)]
+
+
+def test_poly_divmod_non_monic_matches_sympy():
+    import sympy
+
+    x = sympy.Symbol("x")
+
+    def poly(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(p))
+
+    rng = random.Random(5)
+    for _ in range(40):
+        f = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 7))]
+        g = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        g.append(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)))
+        q, r = poly_divmod(f, g, Domain.RATIONAL)
+        # deg r < deg g; a constant g leaves the zero remainder [0]
+        assert len(r) < len(g) or r == [0]
+        assert sympy.expand(poly(q) * poly(g) + poly(r) - poly(f)) == 0
+        sq, sr = sympy.div(poly(f), poly(g), x, domain="QQ")
+        assert sympy.expand(poly(q) - sq) == 0 and sympy.expand(poly(r) - sr) == 0
+
+
+def test_poly_divmod_over_laurent_and_complex():
+    # (x - t)(x + t^-1) = x^2 + (t^-1 - t) x - 1, by x - t, exactly
+    tinv = LaurentPoly.term(Fraction(1), -1)
+    q, rem = poly_divmod([LaurentPoly.const(-1), tinv - T, LaurentPoly.one()],
+                         [-T, LaurentPoly.one()], Domain.LAURENT)
+    assert q == [tinv, LaurentPoly.one()] and rem == [LaurentPoly.zero()]
+    # 2x^2 + 1 by (1 + i) x: a non-monic complex divisor
+    q, rem = poly_divmod([1 + 0j, 0j, 2 + 0j], [0j, 1 + 1j], Domain.COMPLEX)
+    assert rem == [1 + 0j] and q == [0j, 2 / (1 + 1j)]
+    # a shorter dividend is all remainder
+    assert poly_divmod([Fraction(3)], [Fraction(1), Fraction(2)], Domain.RATIONAL) == (
+        [0], [Fraction(3)])
+
+
+@pytest.mark.parametrize("g", [[], [Fraction(1), Fraction(0)]], ids=["empty", "zero-lead"])
+def test_poly_divmod_refuses_a_zero_leading_coefficient(g):
+    with pytest.raises(ValueError, match="leading coefficient"):
+        poly_divmod([Fraction(1), Fraction(2)], g, Domain.RATIONAL)
 
 
 # -- eigen clustering and jordan ----------------------------------------------

@@ -156,6 +156,30 @@ def test_specialize_complex():
     assert check_braid_relations(rho).ok
 
 
+@pytest.mark.parametrize("u", [Fraction(2), 2.5 + 0.5j], ids=str)
+def test_specialize_evaluates_each_distinct_entry_once(monkeypatch, u):
+    t = LaurentPoly.t()
+    s1, s2 = standard_rep(3).gens
+    # t - 2 vanishes at u = 2, where the exact index must leave it out
+    s2 = s2 + Mat.from_rows([[0, t - 2, 0], [0, 0, 0], [0, 0, 0]], Domain.LAURENT)
+    rho = Rep(3, [s1, s2], check=False)
+    want = [[x.eval(u) for x in g.entries] for g in rho.gens]
+    calls = []
+    evaluate = LaurentPoly.eval
+    monkeypatch.setattr(LaurentPoly, "eval",
+                        lambda self, v: calls.append(self) or evaluate(self, v))
+    got = specialize(rho, u)
+    entries = {x for g in rho.gens for x in g.entries}
+    assert len(calls) == len(entries) and set(calls) == entries
+    if got.domain is Domain.COMPLEX:
+        assert got.stack.tobytes() == np.array(want).reshape(2, 3, 3).tobytes()
+    else:
+        assert [list(g.entries) for g in got.gens] == want
+        for g in got.gens:
+            assert g._nz == Mat(3, 3, Domain.RATIONAL, g.entries)._nonzeros()
+        assert got.gen(2)._nz[0] == (0,)
+
+
 def test_specialize_zero_rejected():
     with pytest.raises(ZeroSubstitution):
         specialize(standard_rep(3), 0)
@@ -341,6 +365,25 @@ def test_batched_inverse_names_the_failing_generator():
             Rep(5, [gens[0], tiny, gens[2], singular], check=False).gen_inverse(1)
         with pytest.raises(NotInvertible, match="^inverse residual nan"):
             specialize(burau_rep(4), 1e-320 + 0j)
+
+
+def test_exact_inverse_names_the_failing_generator():
+    t = LaurentPoly.t()
+    # det 1 + t is no unit of the Laurent ring; s3 is singular over Q
+    laurent = Mat.from_rows([[t + 1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                            Domain.LAURENT)
+    gens = standard_rep(4).gens
+    singular = Mat.from_rows([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                             Domain.RATIONAL)
+    rational = specialize(standard_rep(4), 3).gens
+    for images, i, message in (
+            ([gens[0], laurent, gens[2]], 2, "determinant is not a unit in the laurent domain"),
+            ([rational[0], rational[1], singular], 3, "matrix is singular")):
+        match = "^generator s%d: %s$" % (i, message)
+        with pytest.raises(NotInvertible, match=match):
+            Rep(4, images)
+        with pytest.raises(NotInvertible, match=match):
+            Rep(4, images, check=False).gen_inverse(i)
 
 
 _MODEL_POINTS = [(2.5 + 0.5j, 0.7 - 1.2j), (-1.5 + 0j, 1j), (2 + 0j, 1e-170 + 0j),
