@@ -360,9 +360,11 @@ def specialize(rho: Rep, u) -> Rep:
     """Evaluate a Laurent-domain representation at t=u.
 
     Exact rational u gives a RATIONAL representation, float or complex u a
-    COMPLEX one.  u=0 is rejected (generator determinants vanish with t);
-    u=1 is allowed but flagged in the label as the degenerate permutation
-    point.  Invertibility of every image is re-verified.
+    COMPLEX one.  All generators go through one _evaluate call, so each
+    distinct entry of the family is evaluated once.  u=0 is rejected
+    (generator determinants vanish with t); u=1 is allowed but flagged in
+    the label as the degenerate permutation point.  Invertibility of every
+    image is re-verified.
     """
     if rho.domain is not Domain.LAURENT:
         raise ValueError("specialize applies to Laurent-domain representations")

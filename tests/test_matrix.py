@@ -249,6 +249,18 @@ def test_nullspace_ones():
     assert basis[0].col(0) == [Fraction(1), Fraction(-1)]
 
 
+def test_singular_rank_counts_values_strictly_above_the_cutoff():
+    rank = matrix._singular_rank
+    assert rank(np.array([2.0, 2e-9, 1e-9]), 1e-9) == 1
+    assert rank(np.array([2.0, 3e-9, 1e-9]), 1e-9) == 2
+    # none when there are no values, or sigma_max is 0 or NaN
+    assert rank(np.array([]), 1e-9) == 0
+    assert rank(np.zeros(3), 1e-9) == 0
+    assert rank(np.array([np.nan, 1.0]), 1e-9) == 0
+    zero = Mat.from_numpy(np.zeros((3, 3)))
+    assert matrix.column_space(zero) == [] and len(nullspace(zero)) == 3
+
+
 @pytest.mark.parametrize("u", [Fraction(-7, 3), 2.5 + 0.5j], ids=str)
 def test_eval_at_evaluates_each_distinct_entry_once(monkeypatch, u):
     m = Mat.from_rows([[0, T, 1 - T], [T, 0, 1], [0, LaurentPoly.t(), 1 - T]],
