@@ -14,7 +14,10 @@ code 1: u = 1 is reducible over the complex numbers and over the rationals,
 u = 1.0005 recovers a degenerate u, and an exact 4-strand input fails its
 far relation.  A cap of three generations bounds the span closure only, so
 Norton's test certifies irreducible_n7_37_9_cap3 with its six-generation
-spins.  The two jordan_* cases divide the minimal polynomial by x - lam
+spins.  Norton's test over Q takes its eigenvalue lam of rho(s1) = c*I
+beside a 2x2 block at two edges: irreducible_n3_1_4 has lam = c = 1 at the
+one index the block leaves out, and irreducible_n6_9_4_y3_2 a rational
+lam = 9/4 beside c = y = 3/2.  The two jordan_* cases divide the minimal polynomial by x - lam
 over the Laurent ring (no --u) and over the complex numbers.
 That input, far_fails_n4.rep.json, is a fixed file: the unreduced Burau
 images of B_3 at t = 5/3 for s1 and s2, and s2 s1 s2^-1 for s3.  Its
@@ -61,6 +64,9 @@ CASES = {
     "irreducible_n5_laurent": ["irreducible", "--family", "standard", "--n", "5"],
     "irreducible_n6_complex": ["irreducible", "--family", "standard", "--n", "6",
                                "--u", "2.5+0.5j"],
+    "irreducible_n3_1_4": ["irreducible", "--family", "standard", "--n", "3", "--u", "1/4"],
+    "irreducible_n6_9_4_y3_2": ["irreducible", "--family", "standard", "--n", "6",
+                                "--u", "9/4", "--y", "3/2"],
     "irreducible_burau_n4": ["irreducible", "--family", "burau", "--n", "4", "--u", "3"],
     "irreducible_burau_n6_neg7_2": ["irreducible", "--family", "burau", "--n", "6",
                                     "--u=-7/2"],
