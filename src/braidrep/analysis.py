@@ -843,6 +843,44 @@ class _PairBasis(_EchelonBasis):
         return True
 
 
+def _theta_kernels(a: Mat) -> tuple[list, Fraction | None, list[Mat], list[Mat]]:
+    """Norton's eigen-structure of the RATIONAL a = rho(s1): (p, lam,
+    kernel, dual kernel) for the simple part p of a's characteristic
+    polynomial, its rational root lam (None for a quadratic p without one)
+    and the kernels of theta = a - lam*I, or p(a), and of theta^T; both
+    empty for any other p.
+
+    An a that Mat._split reads as c*I beside a block B on S is read on B:
+    p is the simple part of charpoly(B) (x - c)^min(n - |S|, 2), as only
+    whether c's multiplicity is 0, 1 or more matters, and theta is an
+    invertible scalar off S unless lam = c, so the kernels are B's placed
+    at S, equal to the full matrix's as reduced echelon form is unique.
+    lam = c, at the one index outside S, and no split read the full matrix.
+    """
+    n, split = a.rows, a._split()
+    b, c, block = a, None, None
+    if split is not None:
+        c, _, block = split
+        b = a._principal(block)
+    f = charpoly(b)
+    for _ in range(min(n - b.rows, 2)):
+        f = [x - c * y for x, y in zip([0] + f, f + [0])]
+    p = _simple_part(f)
+    lam = _rational_root(p)
+    if lam is None and len(p) != 3:
+        return p, None, [], []
+    if lam == c:  # also no split, where both are None
+        b = a
+    theta = b._shift(lam) if lam is not None else poly_eval_matrix(p, b)
+    kernels = nullspace(theta), nullspace(theta.transpose())
+    if b is not a:  # B's kernel vectors, placed at S's indices
+        zero, pos = ops_for(a.domain).zero, {i: k for k, i in enumerate(block)}
+        kernels = tuple([Mat.column_vector([v.entries[pos[i]] if i in pos else zero
+                                            for i in range(n)], a.domain) for v in k]
+                        for k in kernels)
+    return p, lam, *kernels
+
+
 def _exact_norton(gens: list[Mat], max_generations: int | None = None, split: bool = False
                   ) -> tuple[tuple[int, int, list[int]] | None, InvariantSubspaceReport | None]:
     """Norton's test over Q (Holt and Rees, "Testing modules for
@@ -871,23 +909,16 @@ def _exact_norton(gens: list[Mat], max_generations: int | None = None, split: bo
     is spun paired with a v, and the test certifies only when the pairs do
     not span the graph of a map that commutes with the generators.
 
-    Declines on any other p or commuting pairs.  The spins stop by
-    dimension, so max_generations caps only the closure that _split runs
-    on the complement.
+    Declines on any other p or commuting pairs.  _theta_kernels reads p, q
+    and both kernels on the block B of a = c*I beside B, in |B|
+    dimensions, and on the full matrix when lam = c or a has no split.
+    The spins stop by dimension, so max_generations caps only the closure
+    that _split runs on the complement.
     """
     a = gens[0]
     n = a.rows
-    p = _simple_part(charpoly(a))
-    lam = _rational_root(p)
-    pair = lam is None and len(p) == 3
-    if lam is not None:
-        theta = a._shift(lam)
-    elif pair:
-        theta = poly_eval_matrix(p, a)
-    else:
-        return None, None
-    kernel = nullspace(theta)
-    dual_kernel = nullspace(theta.transpose())
+    _, lam, kernel, dual_kernel = _theta_kernels(a)
+    pair = lam is None
     if len(kernel) != (2 if pair else 1):  # theta^T has the same nullity
         return None, None
     ops = [_integer_array(g) for g in gens]

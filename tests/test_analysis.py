@@ -612,6 +612,83 @@ def test_exact_norton_certifies_a_hidden_rational_basis():
     assert burnside_dimension(hidden).full
 
 
+def _full_theta_kernels(a: Mat):
+    """_theta_kernels read on the full n x n matrix, as before blocks."""
+    p = analysis._simple_part(charpoly(a))
+    lam = analysis._rational_root(p)
+    if lam is None and len(p) != 3:
+        return p, None, [], []
+    theta = a._shift(lam) if lam is not None else poly_eval_matrix(p, a)
+    return p, lam, nullspace(theta), nullspace(theta.transpose())
+
+
+def _permuted(g: Mat, perm: list[int]) -> Mat:
+    """P g P^T for the permutation i -> perm[i]."""
+    n = g.rows
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[perm[i]][perm[j]] = g.at(i, j)
+    return Mat.from_rows(rows, g.domain)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_theta_kernels_on_the_block_match_the_full_matrix(family):
+    # three random permutations each, so the block S is not a prefix; u = 1/4
+    # at n = 3 puts lam = c at the one index outside S, u = -1 in the Burau
+    # family gives no simple eigenvalue, and 23/7 a quadratic p
+    rng = random.Random(23)
+    seen = set()
+    for n in (3, 4, 5, 7, 9):
+        family_n = FAMILIES[family](n)
+        for u in (Fraction(23, 7), Fraction(4), Fraction(1, 4), Fraction(1), Fraction(-1),
+                  Fraction(9, 4)):
+            s1 = specialize(family_n, u).gen(1)
+            for y in (Fraction(1), Fraction(3, 2)):
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    a = _permuted(s1.scale(y), perm)
+                    got = analysis._theta_kernels(a)
+                    assert got == _full_theta_kernels(a), (family, n, u, y, perm)
+                    seen.add((len(got[2]), got[1] == a._split()[0]))
+    # (nullity, lam = c) over the cases: lines, the standard family's
+    # quadratic p and lam = c, and Burau's declines at u = -1
+    assert seen == ({(1, False), (2, False), (1, True)} if family == "standard"
+                    else {(1, False), (0, False)})
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_exact_norton_reads_s1_on_its_block(monkeypatch, n):
+    sizes = []
+
+    def sized(name, size):
+        f = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *a: sizes.append((name, size(a))) or f(*a))
+
+    sized("charpoly", lambda a: a[0].rows)
+    sized("nullspace", lambda a: max(a[0].rows, a[0].cols))
+    sized("poly_eval_matrix", lambda a: a[1].rows)
+    sized("_simple_part", lambda a: len(a[0]) - 1)
+    for u, y in ((Fraction(23, 7), 1), (Fraction(4), Fraction(3, 2))):
+        sizes.clear()
+        rho = character_twist(specialize(standard_rep(n), u), y)
+        span, witness = analysis._exact_norton(list(rho.gens))
+        assert (span[0], span[2], witness) == (n * n, [n], None)
+        assert {name for name, _ in sizes} >= {"charpoly", "nullspace", "_simple_part"}
+        # |S| = 2, and (x - c)^2 at most beside the block's polynomial
+        assert all(size <= (4 if name == "_simple_part" else 2) for name, size in sizes), sizes
+    # a conjugate by a dense matrix has no split: the full matrix is read
+    p = Mat.from_rows([[Fraction((3 * i + 5 * j) % 7 - 3 + (i == j) * 4) for j in range(6)]
+                       for i in range(6)], Domain.RATIONAL)
+    rho = specialize(standard_rep(6), Fraction(23, 7))
+    sizes.clear()
+    hidden = [p @ g @ p.inverse() for g in rho.gens]
+    assert hidden[0]._split() is None
+    assert analysis._exact_norton(hidden)[0] == (36, 4, [6])
+    assert ("charpoly", 6) in sizes and ("poly_eval_matrix", 6) in sizes
+
+
 def test_norton_spins_take_no_generation_cap():
     # the spins stop by dimension, so max_generations, which caps the span
     # closure, leaves Norton's test as it is: 6 generations exact at n = 7
