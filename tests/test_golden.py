@@ -17,8 +17,9 @@ Norton's test certifies irreducible_n7_37_9_cap3 with its six-generation
 spins.  Norton's test over Q takes its eigenvalue lam of rho(s1) = c*I
 beside a 2x2 block at two edges: irreducible_n3_1_4 has lam = c = 1 at the
 one index the block leaves out, and irreducible_n6_9_4_y3_2 a rational
-lam = 9/4 beside c = y = 3/2.  The two jordan_* cases divide the minimal polynomial by x - lam
-over the Laurent ring (no --u) and over the complex numbers.
+lam = 9/4 beside c = y = 3/2.  The two jordan_* cases divide the minimal
+polynomial by x - lam over the Laurent ring (no --u) and over the complex
+numbers.
 That input, far_fails_n4.rep.json, is a fixed file: the unreduced Burau
 images of B_3 at t = 5/3 for s1 and s2, and s2 s1 s2^-1 for s3.  Its
 adjacent relations hold, so the reported residual is the far one.
